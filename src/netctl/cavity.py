@@ -7,7 +7,7 @@ fixed point evaluated through the distributions' generating functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

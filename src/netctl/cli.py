@@ -8,10 +8,10 @@ import sys
 
 import numpy as np
 
-from . import cavity, collective, energy, exact, generators, observability, \
-    steering, structural
+from . import cavity, collective, energy, exact, observability, steering, \
+    structural
 from .errors import NetctlError
-from .graphs import parse_edge_list, transpose
+from .graphs import parse_edge_list
 
 SCHEMA = "netctl/1"
 
@@ -366,7 +366,6 @@ def build_parser():
         p.add_argument("--seed", type=int, default=_default_seed())
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default=None)
-        p.add_argument("--jobs", type=int, default=1)
         return p
 
     for name in ("drivers", "classify-links", "profile", "actuators",
@@ -482,6 +481,7 @@ def build_parser():
     p.add_argument("--eta", type=float, default=0.1)
     p.add_argument("--steps", type=int, default=300)
     p.add_argument("--seeds", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1)
 
     p = add("vicsek-leader")
     p.add_argument("--n", type=int, default=30)

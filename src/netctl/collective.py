@@ -1,8 +1,7 @@
 """Collective control: spectral synchronizability, pinning a network to a
 reference trajectory, and flocking with and without a leader."""
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree

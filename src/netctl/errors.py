@@ -33,6 +33,11 @@ class NonConvergence(NetctlError):
         self.iterations = iterations
 
 
+class InvariantViolation(NetctlError):
+    """A solver returned a result that breaks an invariant its caller
+    relies on."""
+
+
 class RejectionFailure(NetctlError):
     pass
 

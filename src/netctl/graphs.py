@@ -7,9 +7,11 @@ for a given input.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import DuplicateEdge, ParseError
 
@@ -56,6 +58,11 @@ class DiGraph:
         for a in adj:
             a.sort()
         return adj
+
+    def arc_arrays(self):
+        """Edge endpoints as two index arrays (src, dst)."""
+        return np.array([(s, d) for s, d, _ in self.edges],
+                        dtype=np.intp).reshape(-1, 2).T
 
     def out_degrees(self):
         k = [0] * self.n_nodes
@@ -299,98 +306,64 @@ def maximum_matching(b: BipartiteRep) -> Matching:
     return Matching(pair_l, pair_r)
 
 
+def _csgraph(n, src, dst):
+    return csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
+
+
+def component_ids(n, src, dst, connection="strong"):
+    """Strong or weak component of each of n nodes under the arcs
+    src[i] -> dst[i], as an int array; components are numbered in order of
+    their smallest member."""
+    _, labels = connected_components(_csgraph(n, src, dst), directed=True,
+                                     connection=connection)
+    _, first = np.unique(labels, return_index=True)
+    return np.unique(first[labels], return_inverse=True)[1]
+
+
+def group_by_component(ids):
+    """Member lists of each component id, each in increasing node order."""
+    groups = [[] for _ in range(int(ids.max()) + 1 if len(ids) else 0)]
+    for v, c in enumerate(ids.tolist()):
+        groups[c].append(v)
+    return groups
+
+
+def reach_mask(n, src, dst, sources):
+    """Boolean mask of the nodes reachable from any of `sources` (sources
+    included) under the arcs src[i] -> dst[i]."""
+    sources = np.asarray(sources, dtype=np.intp)
+    # breadth-first search from a virtual root n with one arc into each source
+    graph = _csgraph(n + 1, np.concatenate([src, np.full(len(sources), n)]),
+                     np.concatenate([dst, sources]))
+    mask = np.zeros(n + 1, dtype=bool)
+    mask[breadth_first_order(graph, n, return_predecessors=False)] = True
+    return mask[:n]
+
+
 def scc_decompose(g: DiGraph) -> SccDecomposition:
-    """Tarjan's algorithm, iterative.  Components are renumbered so that
-    member lists are sorted and component ids follow the smallest member."""
-    n = g.n_nodes
-    adj = g.out_adj()
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack = []
-    comp_of = [-1] * n
-    comps = []
-    counter = 0
-
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            for i in range(pi, len(adj[v])):
-                w = adj[v][i]
-                if index[w] < 0:
-                    work[-1] = (v, i + 1)
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-
-    # renumber by smallest member for determinism
-    order = sorted(range(len(comps)), key=lambda c: comps[c][0])
-    comps = [comps[c] for c in order]
-    for cid, members in enumerate(comps):
-        for v in members:
-            comp_of[v] = cid
-    ncomp = len(comps)
-    succ = [set() for _ in range(ncomp)]
-    has_in = [False] * ncomp
-    for s, d, _ in g.edges:
-        cs, cd = comp_of[s], comp_of[d]
-        if cs != cd:
-            succ[cs].add(cd)
-    for cs in range(ncomp):
-        for cd in succ[cs]:
-            has_in[cd] = True
-    return SccDecomposition(
-        comp_of,
-        comps,
-        [sorted(s) for s in succ],
-        [not h for h in has_in],
-    )
+    """Strongly connected components with sorted member lists, component
+    ids following the smallest member, and the condensation digraph."""
+    src, dst = g.arc_arrays()
+    comp = component_ids(g.n_nodes, src, dst)
+    components = group_by_component(comp)
+    cs, cd = comp[src], comp[dst]
+    cross = cs != cd
+    succ = [[] for _ in components]
+    is_root = [True] * len(components)
+    for a, b in np.unique(np.stack([cs[cross], cd[cross]], axis=1),
+                          axis=0).tolist():
+        succ[a].append(b)
+        is_root[b] = False
+    return SccDecomposition(comp.tolist(), components, succ, is_root)
 
 
 def reachable_from(g: DiGraph, sources) -> set:
-    adj = g.out_adj()
-    seen = set()
-    q = deque()
-    for s in sorted(sources):
-        if s not in seen:
-            seen.add(s)
-            q.append(s)
-    while q:
-        u = q.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                q.append(v)
-    return seen
+    src, dst = g.arc_arrays()
+    mask = reach_mask(g.n_nodes, src, dst, list(sources))
+    return set(np.flatnonzero(mask).tolist())
 
 
-def max_weight_assignment(weight, forbidden_value=None):
+def max_weight_assignment(weight):
     """Maximum-weight perfect assignment on a square weight matrix.
 
     Returns (total_weight, col_of_row).  Thin wrapper over the Hungarian
@@ -481,48 +454,8 @@ def directed_core(g: DiGraph):
     return set(core), len(core) / n if n else 0.0
 
 
-def connected_components_un(g: UnGraph):
-    """Connected components of an undirected graph, sorted member lists."""
-    adj = g.adj()
-    seen = [False] * g.n_nodes
-    comps = []
-    for root in range(g.n_nodes):
-        if seen[root]:
-            continue
-        comp = []
-        q = deque([root])
-        seen[root] = True
-        while q:
-            u = q.popleft()
-            comp.append(u)
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    q.append(v)
-        comps.append(sorted(comp))
-    return comps
-
-
 def weakly_connected_components(g: DiGraph):
-    und = [set() for _ in range(g.n_nodes)]
-    for s, d, _ in g.edges:
-        if s != d:
-            und[s].add(d)
-            und[d].add(s)
-    seen = [False] * g.n_nodes
-    comps = []
-    for root in range(g.n_nodes):
-        if seen[root]:
-            continue
-        comp = []
-        q = deque([root])
-        seen[root] = True
-        while q:
-            u = q.popleft()
-            comp.append(u)
-            for v in und[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    q.append(v)
-        comps.append(sorted(comp))
-    return comps
+    """Weak components as sorted member lists, ordered by smallest member."""
+    src, dst = g.arc_arrays()
+    return group_by_component(
+        component_ids(g.n_nodes, src, dst, connection="weak"))

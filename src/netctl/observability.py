@@ -131,20 +131,6 @@ def inference_diagram(sys: ReactionSystem) -> DiGraph:
     return DiGraph.from_pairs(n, sorted(pairs), labels=list(sys.species))
 
 
-def mass_action_rhs(sys: ReactionSystem):
-    """Right-hand side of the mass-action balance equations."""
-    gamma = sys.gamma
-    rates = np.asarray(sys.rates, dtype=float)
-    alpha = sys.alpha
-
-    def rhs(_t, x):
-        x = np.maximum(x, 0.0)
-        flux = rates * np.prod(x[None, :] ** alpha, axis=1)
-        return gamma @ flux
-
-    return rhs
-
-
 @dataclass
 class SensorReport:
     root_sccs: list  # node lists of components with no incoming links

@@ -4,7 +4,7 @@ attractor switching by clamping a feedback vertex set."""
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -13,12 +13,13 @@ from scipy.optimize import lsq_linear
 from .errors import (
     DimensionMismatch,
     InfeasibleConstraints,
+    InvariantViolation,
     MissingTrajectory,
     NoCapture,
     NoCompensation,
     SingularB,
 )
-from .graphs import DiGraph
+from .graphs import DiGraph, component_ids, group_by_component
 
 
 @dataclass
@@ -386,54 +387,6 @@ def _topo_order(g, removed):
     return order if len(order) == len(indeg) else None
 
 
-def _scc_partition(nodes, adj):
-    """Tarjan on an adjacency dict restricted to `nodes` (iterative)."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    sccs = []
-    counter = [0]
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(adj[root]))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
-    return sccs
-
-
 def fvs_find(g: DiGraph, mode="heuristic") -> FvsResult:
     """Feedback vertex set: smallest node set whose removal leaves the
     digraph acyclic.  Exact mode enumerates subsets by size (N ≤ 15);
@@ -452,33 +405,33 @@ def fvs_find(g: DiGraph, mode="heuristic") -> FvsResult:
     if mode != "heuristic":
         raise ValueError(f"unknown mode {mode!r}")
 
-    adj = {v: set() for v in range(g.n_nodes)}
-    loops = set()
-    for s, d, _ in g.edges:
-        if s == d:
-            loops.add(s)
-        else:
-            adj[s].add(d)
-    fvs = set(loops)
-    alive = set(range(g.n_nodes)) - fvs
+    src, dst = g.arc_arrays()
+    loops = src[src == dst]
+    fvs = set(loops.tolist())
+    alive = np.ones(g.n_nodes, dtype=bool)
+    alive[loops] = False
     while True:
-        sub = {v: [w for w in adj[v] if w in alive] for v in alive}
-        cyclic = [c for c in _scc_partition(sorted(alive), sub) if len(c) > 1]
+        keep = alive[src] & alive[dst]
+        s, d = src[keep], dst[keep]
+        comp = component_ids(g.n_nodes, s, d)
+        cyclic = [c for c in group_by_component(comp) if len(c) > 1]
         if not cyclic:
             break
-        for comp in cyclic:
-            members = set(comp)
-            best = max(comp, key=lambda v: (
-                sum(1 for w in sub[v] if w in members)
-                * sum(1 for w in comp if v in sub[w])))
+        inner = comp[s] == comp[d]
+        # traffic score: in-component out-degree times in-degree
+        score = (np.bincount(s[inner], minlength=g.n_nodes)
+                 * np.bincount(d[inner], minlength=g.n_nodes)).tolist()
+        for members in cyclic:
+            best = max(members, key=score.__getitem__)
             fvs.add(best)
-            alive.discard(best)
+            alive[best] = False
     # minimality pass: drop any node whose return keeps the remainder acyclic
     for v in sorted(fvs):
         if _topo_order(g, fvs - {v}) is not None:
             fvs.discard(v)
     order = _topo_order(g, fvs)
-    assert order is not None
+    if order is None:
+        raise InvariantViolation("feedback vertex set leaves a cycle")
     return FvsResult(nodes=sorted(fvs), order=order, minimal=True, exact=False)
 
 

@@ -6,18 +6,20 @@ numerous and never enumerated here.
 """
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyDriverSet
+from .errors import EmptyDriverSet, InvariantViolation
 from .graphs import (
+    BipartiteRep,
     DiGraph,
     bipartite_rep,
+    component_ids,
     max_weight_assignment,
     max_weight_cycle_partition,
     maximum_matching,
+    reach_mask,
     reachable_from,
     scc_decompose,
     weakly_connected_components,
@@ -80,8 +82,6 @@ def _controlled_matching(g: DiGraph, drivers):
     n = g.n_nodes
     drivers = sorted(set(drivers))
     # left: 0..n-1 state out-copies, n..n+m-1 input copies; right: in-copies
-    from .graphs import BipartiteRep, Matching
-
     edges = [(s, d) for s, d, _ in g.edges]
     for j, v in enumerate(drivers):
         edges.append((n + j, v))
@@ -108,27 +108,20 @@ def structural_controllability_check(g: DiGraph, drivers):
     exposed = [v for v in range(n) if m.pair_right[v] < 0]
     if not exposed:
         return True, None
-    # Hall violator on the in-copy side: alternating BFS from one exposed
-    # in-copy; S = in-copies in the tree, T(S) = out-/input copies reached.
-    radj = [[] for _ in range(n)]
-    for s, d in b.edges:
-        radj[d].append(s)
-    root = exposed[0]
-    S = {root}
-    T = set()
-    q = deque([root])
-    while q:
-        v = q.popleft()
-        for u in radj[v]:
-            if u in T:
-                continue
-            T.add(u)
-            w = m.pair_left[u]
-            if w >= 0 and w not in S:
-                S.add(w)
-                q.append(w)
-    state_T = sorted(u for u in T)
-    return False, ("dilation", sorted(S), state_T)
+    # Hall violator on the in-copy side: alternating search from one exposed
+    # in-copy over in-copy v -> each out-/input copy u feeding it -> u's
+    # matched in-copy; S = in-copies reached, T(S) = out-/input copies
+    # reached.  Vertex ids: in-copy v -> v, out-/input copy u -> n + u.
+    left, right = np.array(b.edges, dtype=np.intp).T
+    pair_left = np.array(m.pair_left)
+    matched = np.flatnonzero(pair_left >= 0)
+    reached = reach_mask(n + b.n_nodes,
+                         np.concatenate([right, n + matched]),
+                         np.concatenate([n + left, pair_left[matched]]),
+                         [exposed[0]])
+    S = np.flatnonzero(reached[:n]).tolist()
+    T = np.flatnonzero(reached[n:]).tolist()
+    return False, ("dilation", S, T)
 
 
 def _alternating_structure(g: DiGraph):
@@ -136,50 +129,26 @@ def _alternating_structure(g: DiGraph):
 
     Builds the alternating-path digraph D on bipartite copies (unmatched
     edge u+ -> v-, matched edge v- -> u+) and returns the canonical
-    matching plus three predicates:
-      same_scc(u, v)      -- alternating cycle through the pair
-      from_free_left(x)   -- x reachable from an exposed out-copy
-      to_free_right(x)    -- x reaches an exposed in-copy
+    matching plus three per-vertex lists:
+      comp[x]             -- SCC of x in D (alternating cycle iff equal)
+      from_free_left[x]   -- x reachable from an exposed out-copy
+      to_free_right[x]    -- x reaches an exposed in-copy
     Vertex ids: out-copy i -> i, in-copy i -> n + i.
     """
     n = g.n_nodes
     b = bipartite_rep(g)
     m = maximum_matching(b)
-    adj = [[] for _ in range(2 * n)]
-    for u, v in b.edges:
-        if m.pair_left[u] == v:
-            adj[n + v].append(u)
-        else:
-            adj[u].append(n + v)
-    free_left = [u for u in range(n) if m.pair_left[u] < 0]
-    free_right = [v for v in range(n) if m.pair_right[v] < 0]
-
-    def closure(starts, arcs):
-        seen = set(starts)
-        q = deque(starts)
-        while q:
-            x = q.popleft()
-            for y in arcs[x]:
-                if y not in seen:
-                    seen.add(y)
-                    q.append(y)
-        return seen
-
-    from_free_left = closure(free_left, adj)
-    radj = [[] for _ in range(2 * n)]
-    for x in range(2 * n):
-        for y in adj[x]:
-            radj[y].append(x)
-    to_free_right = closure([n + v for v in free_right], radj)
-
-    # SCCs of D
-    d_graph = DiGraph(
-        2 * n,
-        [(x, y, 1.0) for x in range(2 * n) for y in adj[x]],
-        [f"v{x}" for x in range(2 * n)],
-    )
-    scc = scc_decompose(d_graph)
-    return m, scc.component_of, from_free_left, to_free_right
+    u, v = np.array(b.edges, dtype=np.intp).reshape(-1, 2).T
+    pair_left = np.array(m.pair_left, dtype=np.intp)
+    pair_right = np.array(m.pair_right, dtype=np.intp)
+    in_matching = pair_left[u] == v
+    src = np.where(in_matching, n + v, u)
+    dst = np.where(in_matching, u, n + v)
+    comp = component_ids(2 * n, src, dst)
+    from_free_left = reach_mask(2 * n, src, dst, np.flatnonzero(pair_left < 0))
+    to_free_right = reach_mask(2 * n, dst, src,
+                               n + np.flatnonzero(pair_right < 0))
+    return m, comp.tolist(), from_free_left.tolist(), to_free_right.tolist()
 
 
 def classify_links(g: DiGraph) -> LinkClass:
@@ -192,8 +161,8 @@ def classify_links(g: DiGraph) -> LinkClass:
         u, v = s, n + d
         exchangeable = (
             comp[u] == comp[v]
-            or u in from_free_left
-            or v in to_free_right
+            or from_free_left[u]
+            or to_free_right[v]
         )
         if m.pair_left[u] == d:  # in the canonical matching
             tags.append(ORDINARY if exchangeable else CRITICAL)
@@ -225,7 +194,7 @@ def classify_nodes(g: DiGraph) -> NodeClass:
             # iff it has any in-edge (trivial exchange with its neighbour)
             tags.append(INTERMITTENT if in_deg[v] > 0 else CRITICAL)
         else:
-            tags.append(INTERMITTENT if (n + v) in to_free_right else REDUNDANT)
+            tags.append(INTERMITTENT if to_free_right[n + v] else REDUNDANT)
     fractions = {
         t: (tags.count(t) / n if n else 0.0)
         for t in (CRITICAL, INTERMITTENT, REDUNDANT)
@@ -347,7 +316,10 @@ def min_actuators(g: DiGraph) -> ActuatorReport:
             real_pairs[v] = u
         elif n <= u < n + beta and w[u, v] == 1.0:
             slack_hits.append((u - n, v))
-    assert len(real_pairs) == m_size, "cardinality was sacrificed"
+    if len(real_pairs) != m_size:
+        raise InvariantViolation(
+            f"weighted assignment matched {len(real_pairs)} edges, "
+            f"maximum matching has {m_size}")
     alpha = len(slack_hits)
     drivers = sorted(v for v in range(n) if v not in real_pairs)
     hit_roots = {roots[j] for j, _ in slack_hits}

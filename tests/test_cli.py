@@ -71,6 +71,11 @@ class TestExitCodes:
             cli.main(["drivers", "--bogus"])
         assert e.value.code == 2
 
+    def test_jobs_only_on_vicsek(self, files):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["drivers", "--input", files["star"], "--jobs", "2"])
+        assert e.value.code == 2
+
     def test_missing_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as e:
             cli.main([])

@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,9 @@ from netctl.graphs import (
     reachable_from,
     scc_decompose,
     transpose,
+    weakly_connected_components,
 )
+from netctl.generators import er_digraph
 from oracles import longest_path_layers, maximum_matchings
 
 
@@ -188,6 +191,55 @@ class TestReachable:
     def test_disjoint_cycles(self):
         g = digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
         assert reachable_from(g, {0}) == {0, 1}
+
+
+# seeded ER digraphs (n, mean total degree, seed) on both sides of the giant
+# strongly connected component's onset at mean total degree 2
+NX_CASES = [(1000, 1.5, 1), (2000, 2.5, 2), (5000, 3.0, 3), (10000, 4.0, 4)]
+
+
+def nx_digraph(g):
+    h = nx.DiGraph()
+    h.add_nodes_from(range(g.n_nodes))
+    h.add_edges_from((s, d) for s, d, _ in g.edges)
+    return h
+
+
+@pytest.mark.parametrize("n, k, seed", NX_CASES)
+class TestAgainstNetworkx:
+    def test_scc_partition(self, n, k, seed):
+        g = er_digraph(n, k, np.random.default_rng(seed))
+        scc = scc_decompose(g)
+        want = sorted(sorted(c) for c in
+                      nx.strongly_connected_components(nx_digraph(g)))
+        assert scc.components == want
+        for c, members in enumerate(scc.components):
+            assert all(scc.component_of[v] == c for v in members)
+
+    def test_condensation_and_roots(self, n, k, seed):
+        g = er_digraph(n, k, np.random.default_rng(seed))
+        scc = scc_decompose(g)
+        cond = nx.condensation(nx_digraph(g))
+        ours = {c: scc.component_of[min(cond.nodes[c]["members"])]
+                for c in cond}
+        assert {(ours[a], ours[b]) for a, b in cond.edges} == {
+            (c, d) for c, succ in enumerate(scc.condensation) for d in succ}
+        assert all(succ == sorted(succ) for succ in scc.condensation)
+        assert scc.root_components() == sorted(
+            ours[c] for c in cond if cond.in_degree(c) == 0)
+
+    def test_weak_components(self, n, k, seed):
+        g = er_digraph(n, k, np.random.default_rng(seed))
+        want = sorted(sorted(c) for c in
+                      nx.weakly_connected_components(nx_digraph(g)))
+        assert weakly_connected_components(g) == want
+
+    def test_reachable_from_several_sources(self, n, k, seed):
+        g = er_digraph(n, k, np.random.default_rng(seed))
+        h = nx_digraph(g)
+        sources = random.Random(seed).sample(range(n), 5)
+        want = set(sources).union(*(nx.descendants(h, s) for s in sources))
+        assert reachable_from(g, sources) == want
 
 
 class TestCyclePartition:

@@ -5,6 +5,7 @@ import pytest
 
 from netctl.errors import (
     InfeasibleConstraints,
+    InvariantViolation,
     MissingTrajectory,
     NoCompensation,
     SingularB,
@@ -199,6 +200,19 @@ class TestFvs:
             res = fvs_find(g, mode)
             assert len(res.nodes) == 1
             assert len(res.order) == 3
+
+    def test_heuristic_ties_go_to_lowest_index(self):
+        # every node of the 4-cycle has the same traffic score
+        g = DiGraph.from_pairs(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        assert fvs_find(g, "heuristic").nodes == [0]
+
+    def test_heuristic_rejects_cyclic_remainder(self, monkeypatch):
+        import netctl.steering as steering
+
+        monkeypatch.setattr(steering, "_topo_order", lambda g, removed: None)
+        g = DiGraph.from_pairs(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        with pytest.raises(InvariantViolation):
+            fvs_find(g, "heuristic")
 
     def test_dag_empty(self):
         g = DiGraph.from_pairs(4, [(0, 1), (0, 2), (1, 3), (2, 3)])

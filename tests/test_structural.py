@@ -3,9 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from netctl.errors import EmptyDriverSet
-from netctl.graphs import DiGraph, transpose
+from netctl.errors import EmptyDriverSet, InvariantViolation
+from netctl.graphs import DiGraph, scc_decompose, transpose
 from netctl.structural import (
     CRITICAL,
     INTERMITTENT,
@@ -101,6 +103,37 @@ class TestStructuralCheck:
             r = min_actuators(g)
             ok, _ = structural_controllability_check(g, set(r.actuators))
             assert ok
+
+
+@st.composite
+def accessible_driver_sets(draw):
+    """A digraph and a driver set that reaches every node (it holds a node
+    of every root SCC), so Lin's test can fail only by dilation."""
+    n = draw(st.integers(2, 8))
+    out = [draw(st.sets(st.integers(0, n - 1), max_size=3)) for _ in range(n)]
+    g = digraph(n, [(s, d) for s in range(n) for d in sorted(out[s])])
+    scc = scc_decompose(g)
+    drivers = {draw(st.sampled_from(scc.components[c]))
+               for c in scc.root_components()}
+    return g, drivers | draw(st.sets(st.integers(0, n - 1), max_size=1))
+
+
+@given(accessible_driver_sets())
+@settings(max_examples=300, deadline=None)
+def test_dilation_witness_is_hall_violator(case):
+    g, drivers = case
+    ok, witness = structural_controllability_check(g, drivers)
+    assert ok == (witness is None)
+    if ok:
+        return
+    kind, S, T = witness
+    assert kind == "dilation"
+    # T(S): every state out-copy u and input copy n + j with an edge into S
+    n = g.n_nodes
+    feeding = {s for s, d, _ in g.edges if d in S}
+    feeding |= {n + j for j, v in enumerate(sorted(drivers)) if v in S}
+    assert T == sorted(feeding)
+    assert len(T) < len(S)
 
 
 def oracle_link_tags(g):
@@ -316,6 +349,15 @@ class TestMinActuators:
             assert r.alpha == alpha, (g.edges, r.alpha, alpha)
             assert r.n_actuators == nd + beta - alpha
             assert len(r.actuators) == r.n_actuators
+
+    def test_lost_cardinality_raises(self, monkeypatch):
+        import netctl.structural as structural
+
+        # an assignment that leaves every real in-copy unmatched
+        monkeypatch.setattr(structural, "max_weight_assignment",
+                            lambda w: (0.0, np.full(len(w), len(w))))
+        with pytest.raises(InvariantViolation):
+            min_actuators(PATH3)
 
     def test_bounds(self):
         rng = random.Random(59)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonConvergence
+from .errors import InvariantViolation, NonConvergence
 
 
 class PoissonDist:
@@ -72,7 +72,10 @@ class SFStaticDist:
         # x < 1 yet exactly 0 at x = 1
         self._lam = np.exp(np.minimum(self._log_lam, 705.0))
         # quadrature must reproduce the mean: <k> = ∫ lam(u) du
-        assert abs(np.exp(self._log_wl).sum() - mean) < 1e-8 * mean
+        quad_mean = float(np.exp(self._log_wl).sum())
+        if not abs(quad_mean - mean) < 1e-8 * mean:
+            raise InvariantViolation(
+                f"quadrature mean {quad_mean!r} differs from <k> = {mean!r}")
 
     def pmf(self, k: int) -> float:
         with np.errstate(over="ignore", invalid="ignore"):

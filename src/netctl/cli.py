@@ -10,7 +10,7 @@ import numpy as np
 
 from . import cavity, collective, energy, exact, observability, steering, \
     structural
-from .errors import NetctlError
+from .errors import InputError, NetctlError, UnknownNode
 from .graphs import parse_edge_list
 
 SCHEMA = "netctl/1"
@@ -20,22 +20,46 @@ def _default_seed():
     return int(os.environ.get("NETCTL_SEED", "0"))
 
 
+def _read_text(path):
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") \
+            from None
+
+
+def _read_graph(path, directed):
+    g = parse_edge_list(_read_text(path), directed=directed)
+    if g.n_nodes == 0:
+        raise InputError(f"{path} holds no edges")
+    return g
+
+
 def _read_digraph(path):
-    with open(path) as fh:
-        return parse_edge_list(fh.read(), directed=True)
+    return _read_graph(path, directed=True)
 
 
 def _read_ungraph(path):
-    with open(path) as fh:
-        return parse_edge_list(fh.read(), directed=False)
+    return _read_graph(path, directed=False)
 
 
 def _read_matrix(path):
-    return np.loadtxt(path, ndmin=2)
+    try:
+        return np.loadtxt(path, ndmin=2)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") \
+            from None
+    except ValueError as exc:
+        raise InputError(f"{path}: not a numeric matrix ({exc})") from None
 
 
 def _read_vector(text):
-    return np.array([float(v) for v in text.split(",")])
+    try:
+        return np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        raise InputError(f"not a comma-separated list of numbers: "
+                         f"{text!r}") from None
 
 
 def _labels(g, nodes):
@@ -43,14 +67,23 @@ def _labels(g, nodes):
 
 
 def _indices(g, text):
+    """Node indices for comma-separated tokens: a token names a node by
+    its label, or else by its index."""
     lookup = {lab: i for i, lab in enumerate(g.labels)}
     out = []
     for token in text.split(","):
         token = token.strip()
         if token in lookup:
             out.append(lookup[token])
-        else:
-            out.append(int(token))
+            continue
+        try:
+            v = int(token)
+        except ValueError:
+            v = -1
+        if not 0 <= v < g.n_nodes:
+            raise UnknownNode(f"{token!r} is neither a node label nor an "
+                              f"index in 0..{g.n_nodes - 1}")
+        out.append(v)
     return out
 
 
@@ -148,8 +181,7 @@ def cmd_spectrum(args):
 
 
 def cmd_sensors(args):
-    with open(args.reactions) as fh:
-        rs = observability.parse_reactions(fh.read())
+    rs = observability.parse_reactions(_read_text(args.reactions))
     g = observability.inference_diagram(rs)
     rep = observability.min_sensors(g)
     return {"n_sensors": rep.n_sensors,
@@ -159,8 +191,7 @@ def cmd_sensors(args):
 
 
 def cmd_target_sensor(args):
-    with open(args.reactions) as fh:
-        rs = observability.parse_reactions(fh.read())
+    rs = observability.parse_reactions(_read_text(args.reactions))
     g = observability.inference_diagram(rs)
     sensor, cost = observability.target_sensor(g, _indices(g, args.targets))
     return {"sensor": g.labels[sensor], "cost": cost}

@@ -6,7 +6,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .errors import IllConditionedWarning, SingularGramian
@@ -91,11 +90,17 @@ def min_energy_input(
 ) -> ControlTrace:
     """Minimum-energy input u(t) = Bᵀ e^{Aᵀ(T-t)} W⁻¹ v_f steering x_i to
     x_f over [0, T], with the closed-loop trajectory simulated alongside.
+
+    State and costate p(t) = e^{Aᵀ(T-t)} W⁻¹ v_f obey the linear system
+    z' = [[A, BBᵀ], [0, -Aᵀ]] z for z = [x; p], so one exponential of
+    the grid step propagates both exactly from grid point to grid point.
     """
     x_i = np.asarray(x_i, dtype=float)
     x_f = np.asarray(x_f, dtype=float)
     if x_i.shape != (sys.n,) or x_f.shape != (sys.n,):
         raise ValueError("state dimension mismatch")
+    if n_steps < 1:
+        raise ValueError("need at least one step")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)
         gr = gramian(sys, t_final)
@@ -105,24 +110,24 @@ def min_energy_input(
             f"Gramian numerically singular (min eigenvalue {w_eig[0]:.3e})"
         )
     a, b = sys.a, sys.b
-    v_f = x_f - expm(a * t_final) @ x_i
+    n = sys.n
+    e_final = expm(a * t_final)
+    v_f = x_f - e_final @ x_i
     alpha = np.linalg.solve(gr.w, v_f)
     energy = float(v_f @ alpha)
 
-    def u_of(t):
-        return b.T @ expm(a.T * (t_final - t)) @ alpha
-
-    sol = solve_ivp(
-        lambda t, x: a @ x + b @ u_of(t),
-        (0.0, t_final),
-        x_i,
-        t_eval=np.linspace(0.0, t_final, n_steps + 1),
-        rtol=1e-10,
-        atol=1e-12,
-    )
-    t = sol.t
-    u = np.array([u_of(tk) for tk in t])
-    return ControlTrace(t, u, sol.y.T, energy)
+    m = np.zeros((2 * n, 2 * n))
+    m[:n, :n] = a
+    m[:n, n:] = b @ b.T
+    m[n:, n:] = -a.T
+    step = expm(m * (t_final / n_steps))
+    z = np.empty((n_steps + 1, 2 * n))
+    z[0, :n] = x_i
+    z[0, n:] = e_final.T @ alpha
+    for k in range(n_steps):
+        z[k + 1] = step @ z[k]
+    t = np.linspace(0.0, t_final, n_steps + 1)
+    return ControlTrace(t, z[:, n:] @ b, z[:, :n], energy)
 
 
 def energy_bounds(sys: DenseSystem, t_final: float):

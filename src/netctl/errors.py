@@ -38,12 +38,31 @@ class InvariantViolation(NetctlError):
     relies on."""
 
 
+class InputError(NetctlError):
+    """An input file or value given on the command line cannot be read
+    or holds nothing to analyse."""
+
+
+class UnknownNode(NetctlError):
+    """A node token matches no label and no index of the graph."""
+
+
+class UnknownSystem(NetctlError, KeyError):
+    """No toy system has the requested name."""
+
+    __str__ = NetctlError.__str__
+
+
 class RejectionFailure(NetctlError):
     pass
 
 
 class DimensionMismatch(NetctlError):
     pass
+
+
+class NonFiniteInput(NetctlError, ValueError):
+    """A matrix or vector holds NaN or an infinite entry."""
 
 
 class SingularGramian(NetctlError):

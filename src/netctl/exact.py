@@ -7,7 +7,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvariantViolation, NonFiniteInput
+
+
+def _require_finite(m):
+    if not np.isfinite(m).all():
+        raise NonFiniteInput("matrix entries must be finite")
+
+
+def _square_finite(a):
+    """A as a float matrix, checked to be square with finite entries."""
+    a = np.atleast_2d(np.asarray(a, dtype=float))
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"A must be square, got shape {a.shape}")
+    _require_finite(a)
+    return a
 
 
 @dataclass
@@ -17,22 +31,19 @@ class DenseSystem:
     c: np.ndarray = None
 
     def __post_init__(self):
-        self.a = np.atleast_2d(np.asarray(self.a, dtype=float))
+        self.a = _square_finite(self.a)
         self.b = np.asarray(self.b, dtype=float)
         if self.b.ndim == 1:
             self.b = self.b[:, None]
         n = self.a.shape[0]
-        if self.a.shape != (n, n):
-            raise DimensionMismatch("A must be square")
         if self.b.shape[0] != n:
             raise DimensionMismatch("B must have one row per state")
         if self.c is not None:
             self.c = np.atleast_2d(np.asarray(self.c, dtype=float))
             if self.c.shape[1] != n:
                 raise DimensionMismatch("C must have one column per state")
-        for m in (self.a, self.b) + (() if self.c is None else (self.c,)):
-            if not np.isfinite(m).all():
-                raise ValueError("matrix entries must be finite")
+        for m in (self.b,) + (() if self.c is None else (self.c,)):
+            _require_finite(m)
 
     @property
     def n(self):
@@ -74,9 +85,31 @@ def kalman_rank(sys: DenseSystem):
     return r, r == n
 
 
+def _pbh_scale(a):
+    """max(1, ||A||_2): the rank tolerance of the eigenvalue-wise tests is
+    1e-8 times this, and eigenvalues closer than that are one cluster."""
+    return max(1.0, np.linalg.norm(a, 2) if a.size else 0.0)
+
+
 def _cluster_eigenvalues(eig, tol):
-    """Union-find clustering of eigenvalues within tol of each other."""
+    """Single-linkage clusters of eigenvalues closer than tol.
+
+    Returns (centroids, sizes) in (real, imag) order of the centroids; a
+    centroid is the mean of its members taken in index order.
+    """
+    eig = np.asarray(eig)
     n = len(eig)
+    # |λi - λj| < tol implies |Re λi - Re λj| < tol, so only pairs inside a
+    # real-part window need the exact test; the window is twice as wide so
+    # that rounding in re + tol cannot drop a pair
+    by_re = np.argsort(eig.real, kind="stable")
+    re = eig.real[by_re]
+    width = np.searchsorted(re, re + 2 * tol) - np.arange(1, n + 1)
+    first = np.repeat(np.arange(n), width)
+    second = first + 1 + np.arange(len(first)) \
+        - np.repeat(np.cumsum(width) - width, width)
+    first, second = by_re[first], by_re[second]
+    close = np.abs(eig[first] - eig[second]) < tol
     parent = list(range(n))
 
     def find(i):
@@ -85,19 +118,37 @@ def _cluster_eigenvalues(eig, tol):
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(eig[i] - eig[j]) < tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
+    for i, j in zip(first[close].tolist(), second[close].tolist()):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
     groups = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    clusters = [np.mean([eig[i] for i in idx]) for idx in groups.values()]
+    clusters = [eig[idx].mean() for idx in groups.values()]
     counts = [len(idx) for idx in groups.values()]
     order = np.lexsort((np.array(clusters).imag, np.array(clusters).real))
     return [clusters[i] for i in order], [counts[i] for i in order]
+
+
+def _count_within(eig, centers, radius):
+    """Number of eigenvalues within radius of each center."""
+    eig = np.asarray(eig)
+    eig = eig[np.argsort(eig.real, kind="stable")]
+    re = eig.real
+    counts = []
+    for z in centers:
+        lo = np.searchsorted(re, z.real - radius, side="left")
+        hi = np.searchsorted(re, z.real + radius, side="right")
+        counts.append(int((np.abs(eig[lo:hi] - z) <= radius).sum()))
+    return counts
+
+
+def _shifted(a, lam):
+    """A - λI, in real arithmetic when λ is real: eigvals returns every
+    eigenvalue as complex once one is, and a complex SVD or sweep costs
+    several times a real one."""
+    return a - (lam.real if lam.imag == 0 else lam) * np.eye(a.shape[0])
 
 
 def eigen_table(a) -> EigenStructure:
@@ -106,36 +157,116 @@ def eigen_table(a) -> EigenStructure:
     Eigenvalues closer than 1e-8 * max(1, ||A||_2) are treated as one;
     geometric multiplicity is evaluated at the cluster centroid.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    n = a.shape[0]
-    norm = np.linalg.norm(a, 2) if n else 0.0
-    tol = 1e-8 * max(1.0, norm)
-    eig = np.linalg.eigvals(a)
-    centers, alg = _cluster_eigenvalues(list(eig), tol)
+    a = _square_finite(a)
+    tol = 1e-8 * _pbh_scale(a)
+    centers, alg = _cluster_eigenvalues(np.linalg.eigvals(a), tol)
     # singular values below the clustering scale count as zero, so the
     # rank drop is detected at the same resolution that merged the cluster
-    geo = [n - _matrix_rank(lam * np.eye(n) - a, tol=tol) for lam in centers]
+    geo = [a.shape[0] - _matrix_rank(_shifted(a, lam), tol=tol)
+           for lam in centers]
     if np.allclose(a, a.T):
-        assert alg == geo
+        for lam, al, ge in zip(centers, alg, geo):
+            if al != ge:
+                raise InvariantViolation(
+                    f"eigenvalue {complex(lam):.10g} of a symmetric matrix: "
+                    f"geometric multiplicity {ge}, algebraic {al}")
     return EigenStructure(centers, alg, geo)
 
 
-def _dependent_rows(m, tol):
-    """Indices of rows that are linear combinations of lower-index rows.
+# Computed copies of a defective eigenvalue scatter far beyond the
+# clustering tolerance (a Jordan block of size k by about (eps ||A||)^(1/k)),
+# so a cluster can hold fewer eigenvalues than the geometric multiplicity
+# found at its centroid.  The bound that prunes rank tests therefore counts
+# every eigenvalue within this radius, relative to max(1, ||A||_2), which
+# covers blocks up to size five.
+_SCATTER = 1e-3
 
-    Row order is the canonical tie-break; independence is judged by
-    whether appending the row raises the numeric rank at tolerance tol.
+
+def _max_geometric(a):
+    """(N_D, λ, tol): the largest geometric multiplicity over the
+    eigenvalue clusters of a nonempty square A, the first cluster in
+    (real, imag) order that attains it, and the rank tolerance.
+
+    Geometric multiplicity is bounded by the number of eigenvalues at the
+    cluster, so clusters are rank-tested in descending order of that
+    bound until it falls below the best multiplicity found; a cluster
+    whose bound, tightened by the rank tests already made, cannot beat
+    the best is skipped.
     """
-    kept = []
+    scale = _pbh_scale(a)
+    tol = 1e-8 * scale
+    eig = np.linalg.eigvals(a)
+    centers, alg = _cluster_eigenvalues(eig, tol)
+    # a symmetric matrix has well-conditioned eigenvalues: its clusters
+    # are exact, and the multiplicities are checked to agree below
+    symmetric = np.allclose(a, a.T)
+    bound = alg if symmetric else np.maximum(
+        alg, _count_within(eig, centers, _SCATTER * scale)).tolist()
+    tested = []  # (centroid, singular values of A - λI) per rank test
+    n_d, best = -1, None
+    # larger clusters first among equal bounds: their rank tests tighten
+    # the bounds of the scattered copies around them
+    for k in np.lexsort((-np.asarray(alg), -np.asarray(bound))).tolist():
+        if bound[k] < n_d:
+            break
+        # Weyl: σ_i(A - μI) >= σ_i(A - λI) - |μ - λ|, so every rank test
+        # made so far also bounds the multiplicity at this centroid
+        # (the slack absorbs rounding in the computed singular values)
+        near = min([bound[k]] + [
+            int((sv <= tol * (1 + 1e-6) + abs(centers[k] - lam)).sum())
+            for lam, sv in tested])
+        if near < n_d or (near == n_d and k > best):
+            continue
+        sv = np.linalg.svd(_shifted(a, centers[k]), compute_uv=False)
+        tested.append((centers[k], sv))
+        geo = int((sv <= tol).sum())
+        if geo > bound[k]:
+            raise InvariantViolation(
+                f"eigenvalue {complex(centers[k]):.10g}: geometric "
+                f"multiplicity {geo} exceeds the {bound[k]} eigenvalues "
+                f"around it")
+        if symmetric and geo != alg[k]:
+            raise InvariantViolation(
+                f"eigenvalue {complex(centers[k]):.10g} of a symmetric "
+                f"matrix: geometric multiplicity {geo}, algebraic {alg[k]}")
+        if geo > n_d or (geo == n_d and k < best):
+            n_d, best = geo, k
+    return n_d, centers[best], tol
+
+
+def _row_order_drivers(m, tol):
+    """Indices of rows that depend on lower-index rows at tolerance tol.
+
+    One sweep of two-pass Gram–Schmidt in row order.  The kept rows are
+    K = L Q with Q orthonormal and L lower triangular; a row r = c Q + ρ q
+    is dependent when the unit vector y ∝ (-x, 1), x = c L⁻¹ the
+    least-squares combination of K nearest r, has ||yᵀ [K; r]|| =
+    ρ / ||(x, 1)|| <= tol: the norm of a unit combination of rows, the
+    quantity the rank test compares with tol.  The raw residual ρ is that
+    norm divided by the row's own coefficient 1 / ||(x, 1)||, so alone it
+    would miss rows that enter the combination with a small coefficient.
+    """
+    basis = np.empty_like(m)
+    l_inv = np.zeros_like(m)  # L⁻¹, grown one row per kept row
+    k = 0
     dependent = []
-    rank = 0
-    for i, row in enumerate(m):
-        cand = np.vstack(kept + [row])
-        if _matrix_rank(cand, tol=tol) > rank:
-            kept.append(row)
-            rank += 1
-        else:
+    for i, r in enumerate(m):
+        c = np.zeros(k, dtype=m.dtype)
+        for _ in range(2):
+            # conj(basis @ conj(r)) is basis^H r without copying the basis
+            step = (basis[:k] @ r.conj()).conj()
+            c = c + step
+            r = r - step @ basis[:k]
+        rho = np.linalg.norm(r)
+        x = c @ l_inv[:k, :k]
+        if rho <= tol * np.sqrt(1.0 + np.vdot(x, x).real):
             dependent.append(i)
+        else:
+            basis[k] = r / rho
+            # [[L, 0], [c, ρ]]⁻¹ = [[L⁻¹, 0], [-x / ρ, 1 / ρ]]
+            l_inv[k, :k] = -x / rho
+            l_inv[k, k] = 1.0 / rho
+            k += 1
     return dependent
 
 
@@ -143,34 +274,37 @@ def pbh_min_drivers(a):
     """Exact minimum driver count N_D = max geometric multiplicity over
     the eigenvalues, with a driver set for the maximizing eigenvalue.
 
-    The driver set is the rows of (A - λ I) that depend linearly on
-    preceding rows; it is one of many valid choices (driver sets of this
-    kind are not unique).  Returns (n_d, lam_max, drivers).
+    Ties go to the first eigenvalue in (real, imag) order.  The driver set
+    is the rows of (A - λ I) that depend linearly on preceding rows; it is
+    one of many valid choices (driver sets of this kind are not unique).
+    It is checked to hold N_D rows that restore rank [A - λI, B] = N.
+    Returns (n_d, lam_max, drivers).
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
+    a = _square_finite(a)
     n = a.shape[0]
     if n == 0:
         return 0, 0.0, []
-    es = eigen_table(a)
-    best = int(np.argmax(es.geometric))
-    n_d = es.geometric[best]
-    lam = es.eigenvalues[best]
-    tol = 1e-8 * max(1.0, np.linalg.norm(a, 2))
-    drivers = _dependent_rows(a - lam * np.eye(n), tol)
-    # row-order elimination finds exactly N - rank dependent rows
-    assert len(drivers) == n_d
+    n_d, lam, tol = _max_geometric(a)
+    m = _shifted(a, lam)
+    drivers = _row_order_drivers(m, tol)
+    b = np.zeros((n, len(drivers)))
+    b[drivers, np.arange(len(drivers))] = 1.0
+    if len(drivers) != n_d or _matrix_rank(np.hstack([m, b]), tol=tol) != n:
+        raise InvariantViolation(
+            f"row-order driver set {drivers} does not give rank "
+            f"[A - λI, B] = {n} with {n_d} inputs at "
+            f"λ = {complex(lam):.10g}")
     return n_d, lam, drivers
 
 
 def pbh_controllable(sys: DenseSystem) -> bool:
     """Eigenvalue-wise rank test: rank [A - λI, B] = N for every λ."""
     n = sys.n
-    tol = 1e-8 * max(1.0, np.linalg.norm(sys.a, 2))
-    es = eigen_table(sys.a)
+    tol = 1e-8 * _pbh_scale(sys.a)
+    centers, _ = _cluster_eigenvalues(np.linalg.eigvals(sys.a), tol)
     return all(
-        _matrix_rank(np.hstack([sys.a - lam * np.eye(n), sys.b]),
-                     tol=tol) == n
-        for lam in es.eigenvalues
+        _matrix_rank(np.hstack([_shifted(sys.a, lam), sys.b]), tol=tol) == n
+        for lam in centers
     )
 
 
@@ -183,7 +317,7 @@ def self_loop_sweep(a, loop_weights, densities, seeds):
     its group's weight, and N_D is computed eigenvalue-wise.  Returns the
     per-seed n_D list.
     """
-    a = np.atleast_2d(np.asarray(a, dtype=float))
+    a = _square_finite(a)
     n = a.shape[0]
     if len(loop_weights) != len(densities):
         raise ValueError("one density per loop weight")
@@ -204,7 +338,7 @@ def self_loop_sweep(a, loop_weights, densities, seeds):
             start += cnt
         m = a.copy()
         np.fill_diagonal(m, diag)
-        samples.append(pbh_min_drivers(m)[0] / n)
+        samples.append(_max_geometric(m)[0] / n)
     return samples
 
 

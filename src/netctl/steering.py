@@ -17,7 +17,9 @@ from .errors import (
     MissingTrajectory,
     NoCapture,
     NoCompensation,
+    NonConvergence,
     SingularB,
+    UnknownSystem,
 )
 from .graphs import DiGraph, component_ids, group_by_component
 
@@ -157,7 +159,6 @@ def ogy_stabilize_henon(hp, x0=None, n_steps=2000, seed=None):
             dp = float(gain @ z)
             if abs(dp) > cap:
                 dp = 0.0
-        assert abs(dp) <= cap
         kicks[k] = dp
         states[k + 1] = henon_step(states[k, 0], states[k, 1],
                                    hp.p + dp, hp.b)
@@ -530,8 +531,8 @@ def make_system(name, **overrides) -> OdeSystem:
     try:
         factory = _TOYS[name]
     except KeyError:
-        raise KeyError(f"unknown toy system {name!r}; "
-                       f"choices: {sorted(_TOYS)}") from None
+        raise UnknownSystem(f"unknown toy system {name!r}; "
+                            f"choices: {sorted(_TOYS)}") from None
     return factory(**overrides)
 
 
@@ -542,11 +543,13 @@ def gene_toggle_attractors(a=2.0, h=4.0, tol=1e-12):
     out = []
     for start in (np.array([a, 0.0]), np.array([0.0, a])):
         x = start
-        for _ in range(10000):
+        for iterations in range(1, 10001):
             nxt = np.array([a / (1.0 + x[1] ** h), a / (1.0 + x[0] ** h)])
             if np.linalg.norm(nxt - x) < tol:
                 break
             x = nxt
+        residual = float(np.linalg.norm(sys.f(0, x, np.zeros(2))))
+        if not residual < 1e-9:
+            raise NonConvergence(residual, iterations)
         out.append(x)
-    assert np.linalg.norm(np.asarray(sys.f(0, out[0], np.zeros(2)))) < 1e-9
     return out[0], out[1]

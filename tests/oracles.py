@@ -154,3 +154,69 @@ def henon_lyapunov(p, b, n_iter=30000, n_skip=500, x0=(0.1, 0.1)):
             total += np.log(norm)
             counted += 1
     return total / counted
+
+
+def pbh_min_drivers_reference(a):
+    """Exact N_D, the maximising eigenvalue and its row-order driver set by
+    brute force: every eigenvalue cluster gets a full rank test, and a row
+    of A - λI is a driver when appending it to the independent rows
+    before it does not raise the numeric rank (one SVD per row).
+
+    Clusters are single-linkage groups of eigenvalues closer than
+    tol = 1e-8 max(1, ||A||_2), compared pairwise; ties in geometric
+    multiplicity go to the first cluster in (real, imag) order.  Returns
+    (n_d, lam, drivers); the driver count may differ from n_d where the
+    rank test and the row rule disagree numerically.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    tol = 1e-8 * max(1.0, np.linalg.norm(a, 2))
+
+    def rank(m):
+        return int((np.linalg.svd(m, compute_uv=False) > tol).sum())
+
+    eig = np.linalg.eigvals(a)
+    label = list(range(n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(eig[i] - eig[j]) < tol and label[i] != label[j]:
+                old = label[j]
+                label = [label[i] if x == old else x for x in label]
+    groups = {}
+    for i in range(n):
+        groups.setdefault(label[i], []).append(i)
+    centers = [np.mean([eig[i] for i in idx]) for idx in groups.values()]
+    centers = [centers[k] for k in np.lexsort((np.imag(centers),
+                                               np.real(centers)))]
+    geo = [n - rank(lam * np.eye(n) - a) for lam in centers]
+    best = int(np.argmax(geo))
+    lam = centers[best]
+    m = a - lam * np.eye(n)
+    kept, drivers = [], []
+    for i, row in enumerate(m):
+        if rank(np.vstack(kept + [row])) > len(kept):
+            kept.append(row)
+        else:
+            drivers.append(i)
+    return geo[best], lam, drivers
+
+
+def min_energy_trace_reference(a, b, x_i, x_f, t_final, t_eval):
+    """Minimum-energy input and trajectory of a stable system by direct
+    integration: W(T) = W∞ - e^{AT} W∞ e^{AᵀT} from the Lyapunov equation,
+    u(t) = Bᵀ e^{Aᵀ(T-t)} W⁻¹ (x_f - e^{AT} x_i), and ẋ = Ax + Bu
+    integrated by solve_ivp at rtol 1e-10.  Returns (u, x) on t_eval."""
+    from scipy.integrate import solve_ivp
+    from scipy.linalg import expm, solve_continuous_lyapunov
+
+    w_inf = solve_continuous_lyapunov(a, -b @ b.T)
+    e_final = expm(a * t_final)
+    w = w_inf - e_final @ w_inf @ e_final.T
+    alpha = np.linalg.solve(w, x_f - e_final @ x_i)
+
+    def u_of(t):
+        return b.T @ expm(a.T * (t_final - t)) @ alpha
+
+    sol = solve_ivp(lambda t, x: a @ x + b @ u_of(t), (0.0, t_final), x_i,
+                    t_eval=t_eval, rtol=1e-10, atol=1e-12)
+    return np.array([u_of(t) for t in t_eval]), sol.y.T

@@ -15,7 +15,7 @@ from netctl.cavity import (
     solve_cavity_er,
     solve_cavity_sf,
 )
-from netctl.errors import NetctlError, NonConvergence
+from netctl.errors import InvariantViolation, NetctlError, NonConvergence
 from netctl.generators import poisson_config_digraph
 from netctl.structural import min_driver_set
 
@@ -55,6 +55,13 @@ class TestDistributions:
     def test_sf_requires_gamma_above_two(self):
         with pytest.raises(ValueError):
             SFStaticDist(2.0, 2.0)
+
+    def test_sf_quadrature_must_reproduce_mean(self, monkeypatch):
+        gauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda n: (gauss(n)[0], 1.01 * gauss(n)[1]))
+        with pytest.raises(InvariantViolation):
+            SFStaticDist(2.0, 3.0)
 
 
 class TestSolveCavity:

@@ -6,6 +6,7 @@ import pytest
 from netctl import cli
 from netctl.exact import chain_matrix
 from netctl.observability import DEMO_REACTIONS
+from test_exact import defective_derogatory_matrix
 
 EXPECTED_COMMANDS = {
     "drivers", "check", "classify-links", "classify-nodes", "profile",
@@ -87,6 +88,79 @@ class TestExitCodes:
         code = cli.main(["msf", "--input", str(disc)])
         assert code == 1
         assert "DisconnectedGraph" in capsys.readouterr().err
+
+
+def run_error(capsys, argv, error):
+    """The command exits 1 and reports the typed error as one line."""
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"{error}: ")
+    assert err.count("\n") == 1
+
+
+class TestTypedErrors:
+    def test_exact_nd_non_square(self, tmp_path, capsys):
+        a = tmp_path / "wide.mat"
+        np.savetxt(a, np.ones((2, 3)))
+        run_error(capsys, ["exact-nd", "--a", str(a)], "DimensionMismatch")
+
+    def test_exact_nd_nan(self, tmp_path, capsys):
+        a = tmp_path / "nan.mat"
+        np.savetxt(a, np.array([[1.0, np.nan], [0.0, 1.0]]))
+        run_error(capsys, ["exact-nd", "--a", str(a)], "NonFiniteInput")
+
+    def test_energy_nan(self, files, tmp_path, capsys):
+        b = tmp_path / "nan_b.mat"
+        np.savetxt(b, np.array([[np.nan], [0.0], [0.0]]))
+        run_error(capsys, ["energy", "--a", files["a"], "--b", str(b),
+                           "--t", "1"], "NonFiniteInput")
+
+    def test_missing_a_file(self, tmp_path, capsys):
+        run_error(capsys, ["exact-nd", "--a", str(tmp_path / "none.mat")],
+                  "InputError")
+
+    def test_missing_b_file(self, files, tmp_path, capsys):
+        run_error(capsys, ["spectrum", "--a", files["a"], "--b",
+                           str(tmp_path / "none.mat"), "--t", "1"],
+                  "InputError")
+
+    def test_exact_nd_inconsistent_driver_rows(self, tmp_path, capsys):
+        path = tmp_path / "defective.mat"
+        np.savetxt(path, defective_derogatory_matrix(), fmt="%.17g")
+        run_error(capsys, ["exact-nd", "--a", str(path)],
+                  "InvariantViolation")
+
+    def test_missing_input_file(self, tmp_path, capsys):
+        run_error(capsys, ["drivers", "--input", str(tmp_path / "none")],
+                  "InputError")
+
+    def test_empty_edge_list(self, tmp_path, capsys):
+        empty = tmp_path / "empty.edges"
+        empty.write_text("# no edges\n")
+        run_error(capsys, ["drivers", "--input", str(empty)], "InputError")
+
+    def test_driver_token_not_a_label(self, files, capsys):
+        run_error(capsys, ["check", "--input", files["star"],
+                           "--drivers", "zz"], "UnknownNode")
+
+    def test_negative_driver_index(self, files, capsys):
+        run_error(capsys, ["check", "--input", files["star"],
+                           "--drivers", "-1"], "UnknownNode")
+
+    def test_driver_index_out_of_range(self, files, capsys):
+        run_error(capsys, ["check", "--input", files["star"],
+                           "--drivers", "9999"], "UnknownNode")
+
+    def test_driver_index_in_range(self, files, capsys):
+        # tokens that are not labels of the star (h, a, b, c) are indices
+        doc = run_json(capsys, ["check", "--input", files["star"],
+                                "--drivers", "0,1,b"])
+        assert doc["controllable"] is True
+
+    def test_unknown_toy_system(self, capsys):
+        run_error(capsys, ["compensate", "--system", "foo", "--x0", "1",
+                           "--target", "0"], "UnknownSystem")
 
 
 class TestStructuralCommands:

@@ -16,6 +16,7 @@ from netctl.energy import (
 )
 from netctl.errors import IllConditionedWarning, SingularGramian
 from netctl.exact import DenseSystem
+from oracles import min_energy_trace_reference
 
 
 def stable_chain(n, loop=-1.0):
@@ -101,6 +102,23 @@ class TestMinEnergyInput:
         tr = min_energy_input(sys, np.zeros(3), [0.3, -0.1, 0.7], 2.0,
                               n_steps=4000)
         assert abs(trajectory_energy(tr) - tr.energy) < 1e-4 * tr.energy
+
+    def test_trace_matches_integrated_reference(self):
+        # the acceptance-criterion chain: five states driven at the head
+        sys = stable_chain(5)
+        rng = np.random.default_rng(23)
+        for _ in range(3):
+            x_i, x_f = rng.normal(size=5), rng.normal(size=5)
+            tr = min_energy_input(sys, x_i, x_f, 2.0)
+            u, x = min_energy_trace_reference(sys.a, sys.b, x_i, x_f, 2.0,
+                                              tr.t)
+            assert np.abs(tr.u - u).max() <= 1e-7 * max(1.0, np.abs(u).max())
+            assert np.abs(tr.x - x).max() <= 1e-7 * max(1.0, np.abs(x).max())
+
+    def test_rejects_zero_steps(self):
+        with pytest.raises(ValueError):
+            min_energy_input(stable_chain(2), [0.0, 0.0], [1.0, 0.0], 1.0,
+                             n_steps=0)
 
     def test_singular_gramian_raises(self):
         a = np.array([[0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])

@@ -4,7 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from netctl.errors import DimensionMismatch
+from netctl.errors import (
+    DimensionMismatch,
+    InvariantViolation,
+    NonFiniteInput,
+)
 from netctl.exact import (
     DenseSystem,
     chain_matrix,
@@ -17,9 +21,10 @@ from netctl.exact import (
     self_loop_sweep,
     star_matrix,
 )
+from netctl.generators import er_digraph
 from netctl.graphs import DiGraph
 from netctl.structural import min_driver_set
-from oracles import kalman_rank_numeric
+from oracles import kalman_rank_numeric, pbh_min_drivers_reference
 
 
 def random_weighted(rng, n, density=0.3):
@@ -168,6 +173,130 @@ class TestPbhMinDrivers:
                               rng.normal(size=(n, int(rng.integers(1, 3)))))
             _, ok = kalman_rank(sys)
             assert ok == pbh_controllable(sys)
+
+
+def random_matrix(rng, kind):
+    """Sparse random matrix of one of four kinds: weighted or 0/1,
+    asymmetric or symmetric."""
+    n = int(rng.integers(2, 40))
+    mask = rng.random((n, n)) < rng.uniform(0.05, 0.4)
+    if kind == "weighted":
+        return mask * rng.normal(size=(n, n))
+    if kind == "binary":
+        return mask.astype(float)
+    if kind == "weighted-symmetric":
+        a = np.triu(mask * rng.normal(size=(n, n)))
+        return a + np.triu(a, 1).T
+    a = np.triu(mask, 1).astype(float)
+    return a + a.T
+
+
+def defective_derogatory_matrix():
+    """21-node matrix with a defective eigenvalue near 0 (algebraic
+    multiplicity 3, geometric 2) at which the row rule finds only two
+    driver rows that fail the PBH rank test (smallest singular value
+    1.3e-8 against tol 4.1e-8)."""
+    rng = np.random.default_rng(77)
+    for _ in range(25):
+        n = int(rng.integers(2, 50))
+        a = (rng.random((n, n)) < rng.uniform(0.05, 0.4)) \
+            * rng.normal(size=(n, n))
+    return a
+
+
+def criterion07_matrix(seed, rho):
+    """Weighted ER matrix with self-loops 0.8 on a fraction rho of the
+    nodes and -1.2 on the rest, as self_loop_sweep builds it."""
+    rng = np.random.default_rng(300 + seed)
+    a = er_digraph(200, 4.0, rng).adjacency_matrix()
+    a[a != 0] = rng.uniform(0.5, 1.5, int((a != 0).sum()))
+    perm = np.random.default_rng(seed).permutation(200)
+    diag = np.full(200, -1.2)
+    diag[perm[:int(round(rho * 200))]] = 0.8
+    np.fill_diagonal(a, diag)
+    return a
+
+
+DEFECTIVE_01_ENTRIES = [
+    (0, 2), (0, 5), (0, 6), (0, 7), (0, 10), (0, 13), (1, 11), (2, 7),
+    (2, 14), (3, 0), (3, 3), (3, 12), (4, 0), (4, 4), (4, 5), (4, 7), (5, 4),
+    (5, 10), (7, 14), (8, 1), (8, 5), (8, 8), (8, 13), (8, 14), (9, 6),
+    (9, 7), (9, 9), (10, 0), (11, 14), (12, 3), (13, 6), (13, 7), (13, 8),
+    (13, 10), (13, 11), (13, 12), (14, 8),
+]
+
+
+SCATTERED_01_ENTRIES = [
+    (0, 7), (0, 14), (0, 16), (0, 17), (1, 17), (1, 20), (2, 13), (2, 14),
+    (2, 20), (2, 23), (3, 4), (3, 9), (3, 12), (4, 8), (4, 16), (5, 4),
+    (5, 15), (5, 17), (5, 22), (6, 9), (6, 11), (6, 16), (6, 21), (7, 4),
+    (8, 16), (8, 21), (9, 21), (9, 22), (10, 4), (11, 19), (12, 0), (12, 11),
+    (14, 9), (14, 11), (14, 21), (14, 23), (15, 5), (15, 10), (15, 13),
+    (15, 17), (15, 18), (15, 22), (16, 5), (16, 21), (17, 11), (18, 10),
+    (18, 18), (19, 16), (20, 13), (20, 19), (21, 1), (21, 7), (21, 15),
+    (22, 10), (22, 17), (23, 2), (23, 3), (23, 5),
+]
+
+
+class TestPbhAgainstReference:
+    """pbh_min_drivers against the brute-force rank-increment rule."""
+
+    def test_random_matrices(self):
+        rng = np.random.default_rng(41)
+        kinds = ("weighted", "binary", "weighted-symmetric",
+                 "binary-symmetric")
+        complex_lam = 0
+        for i in range(160):
+            a = random_matrix(rng, kinds[i % 4])
+            n_d, lam, drivers = pbh_min_drivers(a)
+            assert (n_d, lam, drivers) == pbh_min_drivers_reference(a)
+            complex_lam += complex(lam).imag != 0
+        assert complex_lam > 0
+
+    def test_criterion07_matrices(self):
+        for seed, rho in ((0, 0.1), (1, 0.5), (2, 0.9)):
+            a = criterion07_matrix(seed, rho)
+            assert pbh_min_drivers(a) == pbh_min_drivers_reference(a)
+
+    def test_inconsistent_driver_rows_raise(self):
+        a = defective_derogatory_matrix()
+        n_d, _, drivers = pbh_min_drivers_reference(a)
+        assert (n_d, len(drivers)) == (2, 3)
+        with pytest.raises(InvariantViolation, match="λ"):
+            pbh_min_drivers(a)
+
+    def test_defective_eigenvalue_split_across_clusters(self):
+        # λ = 0 has algebraic multiplicity 4 and geometric multiplicity 2;
+        # three computed copies scatter by 5e-6 >> tol, so the cluster at
+        # 0 holds one copy, yet its geometric multiplicity is 2
+        a = np.zeros((15, 15))
+        a[tuple(zip(*DEFECTIVE_01_ENTRIES))] = 1.0
+        es = eigen_table(a)
+        zero = min(range(len(es.eigenvalues)),
+                   key=lambda k: abs(es.eigenvalues[k]))
+        assert (es.algebraic[zero], es.geometric[zero]) == (1, 2)
+        assert pbh_min_drivers(a) == pbh_min_drivers_reference(a) \
+            == (2, 0j, [6, 11])
+
+    def test_weak_row_dependence_at_a_scattered_copy(self):
+        # the maximising λ is a copy of the defective eigenvalue 0 that
+        # scattered to -3.1e-6 - 5.4e-6i; row 22 depends on the rows
+        # before it through a combination of norm 1e-11 in which its own
+        # coefficient is small, so its Gram–Schmidt residual (8.8e-6) is
+        # far above tol although the rank test counts it
+        a = np.zeros((24, 24))
+        a[tuple(zip(*SCATTERED_01_ENTRIES))] = 1.0
+        n_d, lam, drivers = pbh_min_drivers(a)
+        assert (n_d, drivers) == (2, [20, 22]) and abs(lam) < 1e-5
+        assert (n_d, lam, drivers) == pbh_min_drivers_reference(a)
+
+    def test_rejects_non_square_and_non_finite(self):
+        with pytest.raises(DimensionMismatch):
+            pbh_min_drivers(np.ones((2, 3)))
+        with pytest.raises(NonFiniteInput):
+            pbh_min_drivers(np.array([[1.0, np.nan], [0.0, 1.0]]))
+        with pytest.raises(NonFiniteInput):
+            DenseSystem(np.eye(2), np.array([np.inf, 0.0]))
 
 
 class TestSelfLoopSweep:

@@ -8,7 +8,9 @@ from netctl.errors import (
     InvariantViolation,
     MissingTrajectory,
     NoCompensation,
+    NonConvergence,
     SingularB,
+    UnknownSystem,
 )
 from netctl.graphs import DiGraph
 from netctl.steering import (
@@ -261,6 +263,21 @@ class TestFvs:
         g = DiGraph.from_pairs(16, [])
         with pytest.raises(ValueError):
             fvs_find(g, "exact")
+
+
+class TestToySystems:
+    def test_unknown_name(self):
+        with pytest.raises(UnknownSystem, match="choices"):
+            make_system("foo")
+        # still a KeyError for callers that catch the lookup failure
+        with pytest.raises(KeyError):
+            make_system("foo")
+
+    def test_toggle_iteration_without_fixed_point(self):
+        # with a Hill exponent of 2 the corner iteration does not settle
+        # within its cap
+        with pytest.raises(NonConvergence):
+            gene_toggle_attractors(a=2.0, h=2.0)
 
 
 class TestFvsClamp:

@@ -131,19 +131,6 @@ def _cluster_eigenvalues(eig, tol):
     return [clusters[i] for i in order], [counts[i] for i in order]
 
 
-def _count_within(eig, centers, radius):
-    """Number of eigenvalues within radius of each center."""
-    eig = np.asarray(eig)
-    eig = eig[np.argsort(eig.real, kind="stable")]
-    re = eig.real
-    counts = []
-    for z in centers:
-        lo = np.searchsorted(re, z.real - radius, side="left")
-        hi = np.searchsorted(re, z.real + radius, side="right")
-        counts.append(int((np.abs(eig[lo:hi] - z) <= radius).sum()))
-    return counts
-
-
 def _shifted(a, lam):
     """A - λI, in real arithmetic when λ is real: eigvals returns every
     eigenvalue as complex once one is, and a complex SVD or sweep costs
@@ -165,92 +152,116 @@ def eigen_table(a) -> EigenStructure:
     geo = [a.shape[0] - _matrix_rank(_shifted(a, lam), tol=tol)
            for lam in centers]
     if np.allclose(a, a.T):
-        for lam, al, ge in zip(centers, alg, geo):
-            if al != ge:
-                raise InvariantViolation(
-                    f"eigenvalue {complex(lam):.10g} of a symmetric matrix: "
-                    f"geometric multiplicity {ge}, algebraic {al}")
+        _check_symmetric(centers, alg, geo)
     return EigenStructure(centers, alg, geo)
 
 
-# Computed copies of a defective eigenvalue scatter far beyond the
-# clustering tolerance (a Jordan block of size k by about (eps ||A||)^(1/k)),
-# so a cluster can hold fewer eigenvalues than the geometric multiplicity
-# found at its centroid.  The bound that prunes rank tests therefore counts
-# every eigenvalue within this radius, relative to max(1, ||A||_2), which
-# covers blocks up to size five.
-_SCATTER = 1e-3
+def _check_symmetric(centers, alg, geo):
+    """A symmetric matrix is diagonalizable: raise InvariantViolation
+    unless each listed cluster's multiplicities agree."""
+    for lam, al, ge in zip(centers, alg, geo):
+        if al != ge:
+            raise InvariantViolation(
+                f"eigenvalue {complex(lam):.10g} of a symmetric matrix: "
+                f"geometric multiplicity {ge}, algebraic {al}")
 
 
-def _max_geometric(a):
+def _max_geometric(a, first=True):
     """(N_D, λ, tol): the largest geometric multiplicity over the
     eigenvalue clusters of a nonempty square A, the first cluster in
-    (real, imag) order that attains it, and the rank tolerance.
+    (real, imag) order that attains it (any that does when first is
+    False), and the rank tolerance.
 
-    Geometric multiplicity is bounded by the number of eigenvalues at the
-    cluster, so clusters are rank-tested in descending order of that
-    bound until it falls below the best multiplicity found; a cluster
-    whose bound, tightened by the rank tests already made, cannot beat
-    the best is skipped.
+    A cluster is rank-tested only while bounds on its multiplicity leave
+    it able to raise N_D or win the tie.  Each cluster visited yields
+    lower bounds on the singular values of A - λI from the eigenvalues of
+    (A - λI)ᴴ(A - λI), which bound every other cluster by Weyl's
+    inequality, σ_i(A - μI) >= σ_i(A - λI) - |μ - λ|, around λ and, A
+    being real, around its conjugate.  The rank test, a values-only SVD,
+    is made only where the bounds cannot exclude the cluster itself.  For
+    a symmetric A, σ_i(A - μI) = |λ_i - μ|, so the cluster sizes bound
+    the multiplicities from the start.
     """
-    scale = _pbh_scale(a)
-    tol = 1e-8 * scale
-    eig = np.linalg.eigvals(a)
-    centers, alg = _cluster_eigenvalues(eig, tol)
-    # a symmetric matrix has well-conditioned eigenvalues: its clusters
-    # are exact, and the multiplicities are checked to agree below
+    n = a.shape[0]
+    tol = 1e-8 * _pbh_scale(a)
+    centers, alg = _cluster_eigenvalues(np.linalg.eigvals(a), tol)
+    centers, alg = np.asarray(centers), np.asarray(alg)
+    # the cluster sizes bound only an exactly symmetric A; the check that
+    # they equal the multiplicities covers the nearly symmetric ones too
+    bound = alg.copy() if np.array_equal(a, a.T) \
+        else np.full(len(alg), n)
     symmetric = np.allclose(a, a.T)
-    bound = alg if symmetric else np.maximum(
-        alg, _count_within(eig, centers, _SCATTER * scale)).tolist()
-    tested = []  # (centroid, singular values of A - λI) per rank test
-    n_d, best = -1, None
-    # larger clusters first among equal bounds: their rank tests tighten
-    # the bounds of the scattered copies around them
-    for k in np.lexsort((-np.asarray(alg), -np.asarray(bound))).tolist():
-        if bound[k] < n_d:
-            break
-        # Weyl: σ_i(A - μI) >= σ_i(A - λI) - |μ - λ|, so every rank test
-        # made so far also bounds the multiplicity at this centroid
-        # (the slack absorbs rounding in the computed singular values)
-        near = min([bound[k]] + [
-            int((sv <= tol * (1 + 1e-6) + abs(centers[k] - lam)).sum())
-            for lam, sv in tested])
-        if near < n_d or (near == n_d and k > best):
-            continue
-        sv = np.linalg.svd(_shifted(a, centers[k]), compute_uv=False)
-        tested.append((centers[k], sv))
-        geo = int((sv <= tol).sum())
-        if geo > bound[k]:
-            raise InvariantViolation(
-                f"eigenvalue {complex(centers[k]):.10g}: geometric "
-                f"multiplicity {geo} exceeds the {bound[k]} eigenvalues "
-                f"around it")
-        if symmetric and geo != alg[k]:
-            raise InvariantViolation(
-                f"eigenvalue {complex(centers[k]):.10g} of a symmetric "
-                f"matrix: geometric multiplicity {geo}, algebraic {alg[k]}")
-        if geo > n_d or (geo == n_d and k < best):
-            n_d, best = geo, k
-    return n_d, centers[best], tol
+    skew = a - a.T
+    index = np.arange(len(alg))
+    unvisited = np.ones(len(alg), dtype=bool)
+    distance = np.full(len(alg), np.inf)  # to the nearest visited λ
+    n_d, best = -1, len(alg)
+    while True:
+        live = unvisited & (bound > n_d)
+        if first:
+            live |= unvisited & (bound == n_d) & (index < best)
+        if not live.any():
+            return n_d, centers[best], tol
+        # the largest cluster first; then the one farthest from every
+        # visited λ, where the Weyl bounds are weakest
+        k = max(np.flatnonzero(live).tolist(),
+                key=lambda j: (distance[j], alg[j], -j))
+        unvisited[k] = False
+        lam = centers[k]
+        # (A - λI)ᴴ(A - λI) = RᵀR + β²I + iβ(A - Aᵀ) with R = A - αI for
+        # λ = α + iβ, A being real: no complex product is formed
+        r = a - lam.real * np.eye(n)
+        gram = r.T @ r
+        if lam.imag:
+            gram = gram.astype(complex)
+            gram.imag = lam.imag * skew
+            gram.flat[::n + 1] += lam.imag ** 2
+        # rounding moves its eigenvalues by at most about n eps ||A - λI||_F²
+        # in forming it and eps ||A - λI||₂² in eigvalsh
+        slack = 2 * n * np.finfo(float).eps \
+            * (np.vdot(r, r) + n * lam.imag ** 2)
+        lower = np.sqrt(np.maximum(np.linalg.eigvalsh(gram) - slack, 0.0))
+        most = int((lower <= tol).sum())
+        if most > n_d or (first and most == n_d and k < best):
+            geo = int((np.linalg.svd(_shifted(a, lam), compute_uv=False)
+                       <= tol).sum())
+            if symmetric:
+                _check_symmetric([centers[k]], [alg[k]], [geo])
+            if geo > n_d or (geo == n_d and k < best):
+                n_d, best = geo, k
+        for lam in {centers[k], centers[k].conjugate()}:
+            distance = np.minimum(distance, np.abs(centers - lam))
+            bound = np.minimum(bound, np.searchsorted(
+                lower, tol + np.abs(centers - lam), side="right"))
+
+
+# Relative margin around tol inside which the sweep's bounds do not settle
+# a row and the rank test decides.  Rounding moves the sweep's quantities
+# and the SVD's smallest singular value by about eps ||A||₂ / tol = 2e-8
+# of tol, far inside it; a wider margin costs only more SVDs.
+_MARGIN = 1e-4
 
 
 def _row_order_drivers(m, tol):
     """Indices of rows that depend on lower-index rows at tolerance tol.
 
-    One sweep of two-pass Gram–Schmidt in row order.  The kept rows are
-    K = L Q with Q orthonormal and L lower triangular; a row r = c Q + ρ q
-    is dependent when the unit vector y ∝ (-x, 1), x = c L⁻¹ the
-    least-squares combination of K nearest r, has ||yᵀ [K; r]|| =
-    ρ / ||(x, 1)|| <= tol: the norm of a unit combination of rows, the
-    quantity the rank test compares with tol.  The raw residual ρ is that
-    norm divided by the row's own coefficient 1 / ||(x, 1)||, so alone it
-    would miss rows that enter the combination with a small coefficient.
+    Row i depends on the independent rows K before it when the smallest
+    singular value of [K; m_i] is <= tol: appending it does not raise the
+    numeric rank.  One sweep of two-pass Gram–Schmidt in row order writes
+    K = L Q with Q orthonormal and L lower triangular, and m_i = c Q + ρ q,
+    so [K; m_i] has the singular values of T = [[L, 0], [c, ρ]].  With
+    x = c L⁻¹ and s = ρ / ||(x, 1)||, the unit vector ∝ (-x, 1) gives
+    σ_min(T) <= s, and T⁻¹ = [[L⁻¹, 0], [-x / ρ, 1 / ρ]] gives
+    σ_min(T) >= 1 / sqrt(||L⁻¹||² + 1 / s²).  Only a row for which these
+    bounds straddle tol gets the rank test itself, one values-only SVD
+    of [K; m_i].
     """
     basis = np.empty_like(m)
     l_inv = np.zeros_like(m)  # L⁻¹, grown one row per kept row
-    k = 0
-    dependent = []
+    l_inv_norm = 0.0  # an upper bound on ||L⁻¹||₂
+    kept, dependent = [], []
     for i, r in enumerate(m):
+        k = len(kept)
         c = np.zeros(k, dtype=m.dtype)
         for _ in range(2):
             # conj(basis @ conj(r)) is basis^H r without copying the basis
@@ -259,14 +270,23 @@ def _row_order_drivers(m, tol):
             r = r - step @ basis[:k]
         rho = np.linalg.norm(r)
         x = c @ l_inv[:k, :k]
-        if rho <= tol * np.sqrt(1.0 + np.vdot(x, x).real):
+        s = rho / np.sqrt(1.0 + np.vdot(x, x).real)
+        if s <= tol * (1 - _MARGIN):
             dependent.append(i)
-        else:
-            basis[k] = r / rho
-            # [[L, 0], [c, ρ]]⁻¹ = [[L⁻¹, 0], [-x / ρ, 1 / ρ]]
-            l_inv[k, :k] = -x / rho
-            l_inv[k, k] = 1.0 / rho
-            k += 1
+            continue
+        next_norm = np.hypot(l_inv_norm, 1.0 / s)
+        if next_norm >= 1.0 / (tol * (1 + _MARGIN)):
+            sv_min = np.linalg.svd(m[kept + [i]], compute_uv=False)[-1]
+            if sv_min <= tol:
+                dependent.append(i)
+                continue
+            next_norm = (1 + _MARGIN) / sv_min
+        l_inv_norm = next_norm
+        kept.append(i)
+        basis[k] = r / rho
+        # [[L, 0], [c, ρ]]⁻¹ = [[L⁻¹, 0], [-x / ρ, 1 / ρ]]
+        l_inv[k, :k] = -x / rho
+        l_inv[k, k] = 1.0 / rho
     return dependent
 
 
@@ -287,9 +307,11 @@ def pbh_min_drivers(a):
     n_d, lam, tol = _max_geometric(a)
     m = _shifted(a, lam)
     drivers = _row_order_drivers(m, tol)
-    b = np.zeros((n, len(drivers)))
-    b[drivers, np.arange(len(drivers))] = 1.0
-    if len(drivers) != n_d or _matrix_rank(np.hstack([m, b]), tol=tol) != n:
+    # each driver row holds the only nonzero of one column of B, so
+    # rank [A - λI, B] is the number of drivers plus the rank of the other
+    # rows, measured here at the tolerance the row rule used
+    if len(drivers) != n_d or \
+            _matrix_rank(np.delete(m, drivers, axis=0), tol=tol) != n - n_d:
         raise InvariantViolation(
             f"row-order driver set {drivers} does not give rank "
             f"[A - λI, B] = {n} with {n_d} inputs at "
@@ -338,7 +360,7 @@ def self_loop_sweep(a, loop_weights, densities, seeds):
             start += cnt
         m = a.copy()
         np.fill_diagonal(m, diag)
-        samples.append(_max_geometric(m)[0] / n)
+        samples.append(_max_geometric(m, first=False)[0] / n)
     return samples
 
 

@@ -193,9 +193,8 @@ def random_matrix(rng, kind):
 
 def defective_derogatory_matrix():
     """21-node matrix with a defective eigenvalue near 0 (algebraic
-    multiplicity 3, geometric 2) at which the row rule finds only two
-    driver rows that fail the PBH rank test (smallest singular value
-    1.3e-8 against tol 4.1e-8)."""
+    multiplicity 3, geometric 2) at which the row rule finds three
+    dependent rows, [16, 19, 20], one more than N_D."""
     rng = np.random.default_rng(77)
     for _ in range(25):
         n = int(rng.integers(2, 50))
@@ -289,6 +288,64 @@ class TestPbhAgainstReference:
         n_d, lam, drivers = pbh_min_drivers(a)
         assert (n_d, drivers) == (2, [20, 22]) and abs(lam) < 1e-5
         assert (n_d, lam, drivers) == pbh_min_drivers_reference(a)
+
+    def test_row_dependent_within_a_hair_of_tol(self):
+        # λ = 1.99999994 is a centroid 1.1 tol below the defective
+        # eigenvalue 2; appending row 41 leaves a smallest singular value
+        # of 4.64e-8 against tol 5.6e-8, while the least-squares
+        # combination the sweep forms has norm above tol, so only the
+        # rank test itself settles the row
+        rng = np.random.default_rng(31)
+        a = (rng.random((60, 60)) < 0.05).astype(float)
+        diag = np.full(60, 2.0)
+        diag[np.random.default_rng(4).permutation(60)[:6]] = 1.0
+        np.fill_diagonal(a, diag)
+        n_d, lam, drivers = pbh_min_drivers(a)
+        assert (n_d, drivers) == (6, [25, 38, 41, 46, 47, 55])
+        assert abs(lam - 2.0) < 1e-6
+        assert (n_d, lam, drivers) == pbh_min_drivers_reference(a)
+        # the same matrix as test_two_type_symmetry builds it
+        assert self_loop_sweep(a, [1.0, 2.0], [0.1, 0.9], [4]) == [0.1]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_jordan_ring_around_a_derogatory_eigenvalue(self, seed):
+        # 0 has blocks J6 ⊕ J1 under an orthogonal similarity: the J6
+        # copies scatter to a ring of radius 4.8e-3, each its own cluster
+        # of multiplicity 1, and the J1 copy sits at the centre, where the
+        # geometric multiplicity is 2
+        rng = np.random.default_rng(seed)
+        j = np.diag(np.r_[np.zeros(7), rng.uniform(0.5, 3.0, 13)
+                          * rng.choice([-1.0, 1.0], 13)])
+        j[np.arange(5), np.arange(1, 6)] = 3.0
+        q, _ = np.linalg.qr(rng.normal(size=(20, 20)))
+        a = q @ j @ q.T
+        n_d, lam, drivers = pbh_min_drivers(a)
+        assert n_d == 2 and abs(lam) < 1e-12
+        assert (n_d, lam, drivers) == pbh_min_drivers_reference(a)
+
+    def test_jordan_structures(self):
+        # Jordan blocks of sizes 1-6 sharing a few eigenvalues, under a
+        # random orthogonal similarity or a permutation
+        rng = np.random.default_rng(11)
+        for _ in range(80):
+            n = int(rng.integers(6, 30))
+            shared = rng.normal(size=3) * rng.choice([0.0, 1.0], 3)
+            j = np.zeros((n, n))
+            i = 0
+            while i < n:
+                size = int(min(rng.integers(1, 7), n - i))
+                lam = shared[rng.integers(0, 3)] if rng.random() < 0.6 \
+                    else rng.normal()
+                j[i:i + size, i:i + size] = lam * np.eye(size) + np.diag(
+                    np.full(size - 1, rng.uniform(0.5, 3.0)), 1)
+                i += size
+            if rng.random() < 0.5:
+                q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+                a = q @ j @ q.T
+            else:
+                p = rng.permutation(n)
+                a = j[p][:, p]
+            assert pbh_min_drivers(a) == pbh_min_drivers_reference(a)
 
     def test_rejects_non_square_and_non_finite(self):
         with pytest.raises(DimensionMismatch):

@@ -229,10 +229,10 @@ def _max_geometric(a, first=True):
                 _check_symmetric([centers[k]], [alg[k]], [geo])
             if geo > n_d or (geo == n_d and k < best):
                 n_d, best = geo, k
-        for lam in {centers[k], centers[k].conjugate()}:
-            distance = np.minimum(distance, np.abs(centers - lam))
+        for z in {lam, lam.conjugate()}:
+            distance = np.minimum(distance, np.abs(centers - z))
             bound = np.minimum(bound, np.searchsorted(
-                lower, tol + np.abs(centers - lam), side="right"))
+                lower, tol + np.abs(centers - z), side="right"))
 
 
 # Relative margin around tol inside which the sweep's bounds do not settle

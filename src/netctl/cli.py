@@ -2,6 +2,7 @@
 seeding, and JSON/CSV reports."""
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -526,23 +527,32 @@ def build_parser():
     return parser
 
 
+def _cell(value):
+    """CSV cell text: nested values as JSON, scalars as str()."""
+    if isinstance(value, (list, tuple, dict)):
+        return json.dumps(value)
+    return str(value)
+
+
 def _render(payload, fmt, command):
     if fmt == "json":
         doc = {"schema": SCHEMA, "command": command}
         doc.update(payload)
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    import csv  # only CSV output needs it
+
     rows = payload.pop("rows", None)
-    lines = []
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
     if payload:
         keys = sorted(payload)
-        lines.append(",".join(keys))
-        lines.append(",".join(str(payload[k]) for k in keys))
+        writer.writerow(keys)
+        writer.writerow([_cell(payload[k]) for k in keys])
     if rows:
         keys = list(rows[0])
-        lines.append(",".join(keys))
-        for row in rows:
-            lines.append(",".join(str(row[k]) for k in keys))
-    return "\n".join(lines) + "\n"
+        writer.writerow(keys)
+        writer.writerows([_cell(row[k]) for k in keys] for row in rows)
+    return out.getvalue() or "\n"
 
 
 def main(argv=None):

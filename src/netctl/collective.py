@@ -12,11 +12,9 @@ from .graphs import UnGraph
 
 def laplacian_matrix(g: UnGraph) -> np.ndarray:
     lap = np.zeros((g.n_nodes, g.n_nodes))
-    for i, j in g.edges:
-        lap[i, j] -= 1.0
-        lap[j, i] -= 1.0
-        lap[i, i] += 1.0
-        lap[j, j] += 1.0
+    lap[g.u, g.v] = lap[g.v, g.u] = -1.0
+    np.fill_diagonal(lap, np.bincount(np.concatenate([g.u, g.v]),
+                                      minlength=g.n_nodes))
     return lap
 
 

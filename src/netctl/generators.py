@@ -22,7 +22,7 @@ def er_digraph(n: int, k_mean: float, rng: np.random.Generator) -> DiGraph:
     src = codes // (n - 1)
     rem = codes % (n - 1)
     dst = rem + (rem >= src)
-    return DiGraph.from_pairs(n, list(zip(src.tolist(), dst.tolist())))
+    return DiGraph.from_arrays(n, src, dst)
 
 
 def poisson_degree_pair(n: int, k_mean: float, rng: np.random.Generator):
@@ -64,7 +64,7 @@ def config_model_digraph(
         dup[order[1:]] = sorted_codes[1:] == sorted_codes[:-1]
         bad = np.flatnonzero(dup | (src == dst))
         if bad.size == 0:
-            return DiGraph.from_pairs(n, list(zip(src.tolist(), dst.tolist())))
+            return DiGraph.from_arrays(n, src, dst)
         # swap each offending in-stub with a uniformly random partner
         partners = rng.integers(0, m, size=bad.size)
         for b, r in zip(bad, partners):

@@ -2,126 +2,194 @@
 
 Node labels are interned to dense indices in first-appearance order and
 every algorithm iterates in index order, so all results are deterministic
-for a given input.
+for a given input.  Graphs keep their edges as parallel index arrays in
+input order; the combinatorial work runs on those arrays and on
+`scipy.sparse.csgraph`.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
+from scipy.sparse.csgraph import (
+    breadth_first_order,
+    connected_components,
+    dijkstra,
+    maximum_bipartite_matching,
+)
 
-from .errors import DuplicateEdge, ParseError
+from .errors import DuplicateEdge, InvariantViolation, ParseError
 
 
-@dataclass
+def _first_duplicate(key):
+    """Index of the first entry of `key` equal to an earlier one, or None."""
+    order = np.argsort(key, kind="stable")
+    ordered = key[order]
+    later = order[1:][ordered[1:] == ordered[:-1]]
+    return int(later.min()) if later.size else None
+
+
+def _columns(rows, k):
+    """k index/value columns of a list of k-tuples."""
+    rows = list(rows)
+    if not rows:
+        return [np.zeros(0, dtype=np.intp)] * k
+    return [np.asarray(c) for c in zip(*rows)]
+
+
 class DiGraph:
-    """Weighted digraph with interned string labels.  Self-loops allowed."""
+    """Weighted digraph with string labels.  Self-loops allowed.
 
-    n_nodes: int
-    edges: list  # list of (src, dst, weight)
-    labels: list = None
+    Edge i runs src[i] -> dst[i] with weight[i]; the arrays keep input
+    order.  Build from (src, dst, weight) triples, `from_pairs`, or
+    `from_arrays`; each rejects out-of-range and duplicate edges.
+    """
 
-    def __post_init__(self):
-        if self.labels is None:
-            self.labels = [str(i) for i in range(self.n_nodes)]
-        seen = set()
-        for s, d, _ in self.edges:
-            if not (0 <= s < self.n_nodes and 0 <= d < self.n_nodes):
-                raise ValueError(f"edge ({s},{d}) out of range")
-            if (s, d) in seen:
-                raise ValueError(f"duplicate edge ({s},{d})")
-            seen.add((s, d))
+    def __init__(self, n_nodes, edges=(), labels=None):
+        src, dst, weight = _columns(edges, 3)
+        self._set(n_nodes, src, dst, weight, labels)
+        self._check()
 
     @classmethod
     def from_pairs(cls, n_nodes, pairs, labels=None):
-        return cls(n_nodes, [(s, d, 1.0) for s, d in pairs], labels)
+        src, dst = _columns(pairs, 2)
+        return cls.from_arrays(n_nodes, src, dst, labels=labels)
+
+    @classmethod
+    def from_arrays(cls, n_nodes, src, dst, weight=None, labels=None):
+        g = cls._of(n_nodes, src, dst, weight, labels)
+        g._check()
+        return g
+
+    @classmethod
+    def _of(cls, n_nodes, src, dst, weight=None, labels=None):
+        """Graph over arrays already known to be in range and distinct."""
+        g = cls.__new__(cls)
+        g._set(n_nodes, src, dst, weight, labels)
+        return g
+
+    def _set(self, n_nodes, src, dst, weight, labels):
+        self.n_nodes = int(n_nodes)
+        self.src = np.asarray(src, dtype=np.intp)
+        self.dst = np.asarray(dst, dtype=np.intp)
+        self.weight = np.ones(len(self.src)) if weight is None else \
+            np.asarray(weight, dtype=float)
+        self._labels = labels
+        self._heads = None
+
+    def _check(self):
+        n, src, dst = self.n_nodes, self.src, self.dst
+        out = np.flatnonzero((src < 0) | (src >= n) | (dst < 0) | (dst >= n))
+        bad_range = int(out[0]) if out.size else None
+        dup = _first_duplicate(src * n + dst) if bad_range is None else \
+            _first_duplicate(src[:bad_range] * n + dst[:bad_range])
+        if dup is not None:
+            raise ValueError(f"duplicate edge ({src[dup]},{dst[dup]})")
+        if bad_range is not None:
+            raise ValueError(f"edge ({src[bad_range]},{dst[bad_range]}) "
+                             f"out of range")
+
+    @property
+    def labels(self):
+        if self._labels is None:
+            self._labels = [str(i) for i in range(self.n_nodes)]
+        return self._labels
+
+    @property
+    def edges(self):
+        """(src, dst, weight) triples in input order."""
+        return list(zip(self.src.tolist(), self.dst.tolist(),
+                        self.weight.tolist()))
 
     @property
     def n_edges(self):
-        return len(self.edges)
-
-    def out_adj(self):
-        adj = [[] for _ in range(self.n_nodes)]
-        for s, d, _ in self.edges:
-            adj[s].append(d)
-        for a in adj:
-            a.sort()
-        return adj
-
-    def in_adj(self):
-        adj = [[] for _ in range(self.n_nodes)]
-        for s, d, _ in self.edges:
-            adj[d].append(s)
-        for a in adj:
-            a.sort()
-        return adj
+        return len(self.src)
 
     def arc_arrays(self):
         """Edge endpoints as two index arrays (src, dst)."""
-        return np.array([(s, d) for s, d, _ in self.edges],
-                        dtype=np.intp).reshape(-1, 2).T
+        return self.src, self.dst
+
+    def sorted_heads(self):
+        """(indptr, heads): the heads of node u's edges, in increasing
+        order, are heads[indptr[u]:indptr[u + 1]]; built once."""
+        if self._heads is None:
+            indptr = np.zeros(self.n_nodes + 1, dtype=np.intp)
+            np.cumsum(np.bincount(self.src, minlength=self.n_nodes),
+                      out=indptr[1:])
+            self._heads = indptr, self.dst[np.lexsort((self.dst, self.src))]
+        return self._heads
 
     def out_degrees(self):
-        k = [0] * self.n_nodes
-        for s, _, _ in self.edges:
-            k[s] += 1
-        return k
+        return np.bincount(self.src, minlength=self.n_nodes).tolist()
 
     def in_degrees(self):
-        k = [0] * self.n_nodes
-        for _, d, _ in self.edges:
-            k[d] += 1
-        return k
+        return np.bincount(self.dst, minlength=self.n_nodes).tolist()
 
     def adjacency_matrix(self):
         a = np.zeros((self.n_nodes, self.n_nodes))
-        for s, d, w in self.edges:
-            a[d, s] = w  # a[i, j] != 0 iff edge j -> i, matching x' = A x
+        a[self.dst, self.src] = self.weight  # a[i, j] != 0 iff edge j -> i
         return a
+
+    def subgraph(self, keep):
+        """Graph induced on the nodes where the boolean mask `keep` holds
+        (labels preserved, indices compacted in order)."""
+        keep = np.asarray(keep, dtype=bool)
+        new = np.cumsum(keep) - 1
+        inside = keep[self.src] & keep[self.dst]
+        return DiGraph._of(int(keep.sum()), new[self.src[inside]],
+                           new[self.dst[inside]], self.weight[inside],
+                           [lab for lab, k in zip(self.labels, keep.tolist())
+                            if k])
 
     def delete_node(self, v):
         """Graph with node v removed (labels preserved, indices compacted)."""
-        keep = [i for i in range(self.n_nodes) if i != v]
-        remap = {old: new for new, old in enumerate(keep)}
-        edges = [
-            (remap[s], remap[d], w)
-            for s, d, w in self.edges
-            if s != v and d != v
-        ]
-        return DiGraph(self.n_nodes - 1, edges, [self.labels[i] for i in keep])
+        keep = np.ones(self.n_nodes, dtype=bool)
+        keep[v] = False
+        return self.subgraph(keep)
 
 
-@dataclass
 class UnGraph:
-    """Simple undirected graph: no self-pairs, no duplicate pairs."""
+    """Simple undirected graph: no self-pairs, no duplicate pairs.  Pair i
+    joins u[i] < v[i]; the arrays keep input order."""
 
-    n_nodes: int
-    edges: list  # list of (u, v) with u < v
-    labels: list = None
+    def __init__(self, n_nodes, edges=(), labels=None):
+        self._set(n_nodes, *_columns(edges, 2), labels)
 
-    def __post_init__(self):
-        if self.labels is None:
-            self.labels = [str(i) for i in range(self.n_nodes)]
-        norm = []
-        seen = set()
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-pair ({u},{v})")
-            if not (0 <= u < self.n_nodes and 0 <= v < self.n_nodes):
-                raise ValueError(f"pair ({u},{v}) out of range")
-            key = (min(u, v), max(u, v))
-            if key in seen:
-                raise ValueError(f"duplicate pair ({u},{v})")
-            seen.add(key)
-            norm.append(key)
-        self.edges = norm
+    @classmethod
+    def from_arrays(cls, n_nodes, u, v, labels=None):
+        g = cls.__new__(cls)
+        g._set(n_nodes, u, v, labels)
+        return g
+
+    def _set(self, n_nodes, u, v, labels):
+        n = self.n_nodes = int(n_nodes)
+        self.labels = [str(i) for i in range(n)] if labels is None \
+            else labels
+        u = np.asarray(u, dtype=np.intp)
+        v = np.asarray(v, dtype=np.intp)
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        bad = np.flatnonzero((u == v) | (lo < 0) | (hi >= n))
+        stop = int(bad[0]) if bad.size else len(u)
+        dup = _first_duplicate(lo[:stop] * n + hi[:stop])
+        if dup is not None:
+            raise ValueError(f"duplicate pair ({u[dup]},{v[dup]})")
+        if bad.size:
+            if u[stop] == v[stop]:
+                raise ValueError(f"self-pair ({u[stop]},{v[stop]})")
+            raise ValueError(f"pair ({u[stop]},{v[stop]}) out of range")
+        self.u, self.v = lo, hi
+
+    @property
+    def edges(self):
+        """(u, v) pairs, u < v, in input order."""
+        return list(zip(self.u.tolist(), self.v.tolist()))
 
     @property
     def n_edges(self):
-        return len(self.edges)
+        return len(self.u)
 
     def adj(self):
         adj = [[] for _ in range(self.n_nodes)]
@@ -134,42 +202,29 @@ class UnGraph:
 
 
 @dataclass
-class BipartiteRep:
-    """Bipartite split of a digraph: out-copy x+ on the left, in-copy x-
-    on the right, one bipartite edge per digraph edge."""
-
-    n_nodes: int
-    edges: list  # list of (src, dst): left index src, right index dst
-
-    def left_adj(self):
-        adj = [[] for _ in range(self.n_nodes)]
-        for s, d in self.edges:
-            adj[s].append(d)
-        for a in adj:
-            a.sort()
-        return adj
-
-
-@dataclass
 class Matching:
-    """Bipartite matching: pair_left[u] = matched right vertex or -1."""
+    """Maximum matching of a digraph's bipartite split: out-copy u on the
+    left, in-copy v on the right, one bipartite edge per digraph edge.
+    pair_left[u] is u's matched in-copy, pair_right[v] its matched
+    out-copy, -1 where unmatched (int arrays)."""
 
-    pair_left: list
-    pair_right: list
+    pair_left: np.ndarray
+    pair_right: np.ndarray
 
     @property
     def size(self):
-        return sum(1 for v in self.pair_left if v >= 0)
+        return int(np.count_nonzero(self.pair_left >= 0))
 
     def matched_edges(self):
-        return [(u, v) for u, v in enumerate(self.pair_left) if v >= 0]
+        u = np.flatnonzero(self.pair_left >= 0)
+        return list(zip(u.tolist(), self.pair_left[u].tolist()))
 
     def matched(self, i):
         """A node is matched iff it is the head (in-copy) of a matching edge."""
-        return self.pair_right[i] >= 0
+        return bool(self.pair_right[i] >= 0)
 
     def unmatched_nodes(self):
-        return [i for i, u in enumerate(self.pair_right) if u < 0]
+        return np.flatnonzero(self.pair_right < 0).tolist()
 
 
 @dataclass
@@ -187,122 +242,240 @@ class SccDecomposition:
         return [c for c in range(self.n_components) if self.is_root[c]]
 
 
+# Code points that str.split() treats as whitespace and str.splitlines()
+# as line boundaries (tests/test_graphs.py checks both against Python).
+_TABLE_SIZE = 0x3002  # one past U+3000, the largest whitespace code point
+_SPACE = np.zeros(_TABLE_SIZE, dtype=bool)
+_SPACE[[0x09, 0x0a, 0x0b, 0x0c, 0x0d, 0x1c, 0x1d, 0x1e, 0x1f, 0x20, 0x85,
+        0xa0, 0x1680, *range(0x2000, 0x200b), 0x2028, 0x2029, 0x202f,
+        0x205f, 0x3000]] = True
+_BREAK = np.zeros(_TABLE_SIZE, dtype=bool)
+_BREAK[[0x0a, 0x0b, 0x0c, 0x0d, 0x1c, 0x1d, 0x1e, 0x85, 0x2028,
+        0x2029]] = True
+
+
+def _token_lines(text):
+    """Tokens of `text` as str.split() gives them, the 0-based
+    str.splitlines() line of each, which tokens open their line, and
+    which of those start with '#'.  The code-point arrays are dropped
+    before the token list is built, to keep the peak low."""
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"),
+                          dtype=np.uint32)
+    clipped = np.minimum(codes, _TABLE_SIZE - 1)
+    space = _SPACE[clipped]
+    breaks = np.flatnonzero(_BREAK[clipped])
+    del clipped
+    after_space = np.ones(len(space), dtype=bool)
+    after_space[1:] = space[:-1]
+    starts = np.flatnonzero(~space & after_space)
+    del space, after_space
+    crlf = (codes[breaks] == 0x0a) & (breaks > 0) & (codes[breaks - 1] == 0x0d)
+    line = np.searchsorted(breaks[~crlf], starts)
+    opens = np.ones(len(line), dtype=bool)
+    opens[1:] = line[1:] != line[:-1]
+    hashed = codes[starts[opens]] == ord("#")
+    del codes
+    tokens = text.split()
+    if len(tokens) != len(starts):
+        raise InvariantViolation(f"{len(tokens)} tokens, {len(starts)} "
+                                 f"token starts")
+    return tokens, line, opens, hashed
+
+
 def parse_edge_list(text, directed=True):
     """Parse "src dst [weight]" lines into a DiGraph or UnGraph.
 
     Lines starting with '#' and blank lines are ignored.  Labels are
-    interned in first-appearance order.
+    interned in first-appearance order.  Tokenising, interning and the
+    checks run over whole arrays; the offending line is located only
+    once a check fails, and the first one in file order is reported.
     """
-    labels = {}
-    order = []
+    tokens, line, opens, hashed = _token_lines(text)
+    n_lines = int(line[-1]) + 1 if len(line) else 0
+    n_tok = np.bincount(line, minlength=n_lines)
+    first_tok = np.full(n_lines, -1, dtype=np.intp)
+    first_tok[line[opens]] = np.flatnonzero(opens)
+    comment = np.zeros(n_lines, dtype=bool)
+    comment[line[opens][hashed]] = True
+    used = (n_tok > 0) & ~comment
+    edge_lines = np.flatnonzero(used & (n_tok >= 2) & (n_tok <= 3))
+    at = first_tok[edge_lines]
+    weighted = np.flatnonzero(n_tok[edge_lines] == 3)
+    w_text = [tokens[i] for i in (at[weighted] + 2).tolist()]
+    ends = np.stack([at, at + 1], axis=1).ravel()
+    names = tokens if len(ends) == len(tokens) else \
+        [tokens[i] for i in ends.tolist()]
+    del tokens  # `names` and `w_text` hold every token still needed
 
-    def intern(name):
-        if name not in labels:
-            labels[name] = len(order)
-            order.append(name)
-        return labels[name]
+    # first[i]: position of the first occurrence of names[i]; a name's
+    # label index is the number of first occurrences before its own
+    index = {}
+    first = np.fromiter(map(index.setdefault, names, count()), dtype=np.intp,
+                        count=len(names))
+    del index
+    opening = first == np.arange(len(first))
+    ids = (np.cumsum(opening) - 1)[first]
+    labels = [names[i] for i in np.flatnonzero(opening).tolist()]
+    n = len(labels)
+    src, dst = ids[0::2], ids[1::2]
 
-    edges = []
-    seen = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) not in (2, 3):
-            raise ParseError(line_no, f"expected 'src dst [weight]', got {raw!r}")
-        src, dst = intern(parts[0]), intern(parts[1])
-        if len(parts) == 3:
+    # error candidates as (0-based line, exception factory); the earliest
+    # line is the one a line-by-line reader would have stopped at
+    errors = []
+    bad = np.flatnonzero(used & ((n_tok < 2) | (n_tok > 3)))
+    if bad.size:
+        errors.append((int(bad[0]), lambda ln: ParseError(
+            ln + 1, f"expected 'src dst [weight]', got "
+                    f"{text.splitlines()[ln]!r}")))
+    weight = np.ones(len(edge_lines))
+    try:
+        weight[weighted] = np.fromiter(map(float, w_text), dtype=float,
+                                       count=len(w_text))
+    except ValueError:
+        for j, tok in enumerate(w_text):
             try:
-                w = float(parts[2])
+                float(tok)
             except ValueError:
-                raise ParseError(line_no, f"bad weight {parts[2]!r}") from None
-        else:
-            w = 1.0
-        key = (src, dst) if directed else (min(src, dst), max(src, dst))
-        if key in seen:
-            raise DuplicateEdge(line_no, parts[0], parts[1])
-        seen.add(key)
-        edges.append((src, dst, w))
+                errors.append((int(edge_lines[weighted[j]]),
+                               lambda ln, tok=tok: ParseError(
+                                   ln + 1, f"bad weight {tok!r}")))
+                break
+    key = src * n + dst if directed else \
+        np.minimum(src, dst) * n + np.maximum(src, dst)
+    dup = _first_duplicate(key)
+    if dup is not None:
+        errors.append((int(edge_lines[dup]), lambda ln: DuplicateEdge(
+            ln + 1, names[2 * dup], names[2 * dup + 1])))
+    if errors:
+        ln, make = min(errors, key=lambda e: e[0])
+        raise make(ln)
     if directed:
-        return DiGraph(len(order), edges, order)
-    return UnGraph(len(order), [(s, d) for s, d, _ in edges], order)
+        return DiGraph._of(n, src, dst, weight, labels)
+    return UnGraph.from_arrays(n, src, dst, labels)
 
 
 def transpose(g: DiGraph) -> DiGraph:
-    return DiGraph(g.n_nodes, [(d, s, w) for s, d, w in g.edges], list(g.labels))
+    return DiGraph._of(g.n_nodes, g.dst, g.src, g.weight, list(g.labels))
 
 
-def bipartite_rep(g: DiGraph) -> BipartiteRep:
-    return BipartiteRep(g.n_nodes, [(s, d) for s, d, _ in g.edges])
+def maximum_matching(g: DiGraph) -> Matching:
+    """Canonical Hopcroft-Karp maximum matching of g's bipartite split.
 
-
-def maximum_matching(b: BipartiteRep) -> Matching:
-    """Hopcroft-Karp maximum matching, O(sqrt(V) E).
-
-    Deterministic: free left vertices are processed in index order and
-    adjacency lists are index-sorted, so augmentation prefers the lowest
-    available right index.
+    Deterministic: free out-copies are processed in index order and
+    adjacency is index-sorted, so augmentation prefers the lowest
+    available in-copy.  The first phase is the greedy pass that gives
+    each out-copy its lowest free in-copy.  Every later phase takes its
+    BFS layering from one csgraph shortest-path call, retires the
+    out-copies that cannot reach a free in-copy along it, and augments by
+    depth-first search along the layering, in Python.
     """
-    n = b.n_nodes
-    adj = b.left_adj()
+    n = g.n_nodes
+    indptr_a, heads_a = g.sorted_heads()
+    indptr = indptr_a.tolist()
+    heads = heads_a.tolist()
     pair_l = [-1] * n
     pair_r = [-1] * n
-    INF = float("inf")
-    dist = [INF] * n
+    for u in range(n):
+        for k in range(indptr[u], indptr[u + 1]):
+            v = heads[k]
+            if pair_r[v] < 0:
+                pair_r[v] = u
+                pair_l[u] = v
+                break
 
-    def bfs():
-        q = deque()
-        for u in range(n):
-            if pair_l[u] < 0 and adj[u]:
-                dist[u] = 0
-                q.append(u)
-            else:
-                dist[u] = INF
-        found = False
-        while q:
-            u = q.popleft()
-            for v in adj[u]:
-                w = pair_r[v]
-                if w < 0:
-                    found = True
-                elif dist[w] is INF:
-                    dist[w] = dist[u] + 1
-                    q.append(w)
-        return found
+    inf = float("inf")
+    has_edges = np.diff(indptr_a) > 0
+    src, dst = g.src, g.dst
+    nxt = [0] * n  # next adjacency slot to try, per out-copy
 
-    iters = [0] * n
+    def layering():
+        """Alternating BFS layer of each out-copy from the free ones (inf if
+        unreached), or None when no layer reaches a free in-copy."""
+        free = np.flatnonzero((np.array(pair_l) < 0) & has_edges)
+        mate = np.array(pair_r)[dst]
+        step = mate >= 0
+        if not free.size or step.all():
+            return None  # no free out-copy, or no free in-copy to reach
+        # a virtual root n has one arc into each free out-copy
+        arcs = _csgraph(n + 1,
+                        np.concatenate([src[step], np.full(len(free), n)]),
+                        np.concatenate([mate[step], free]))
+        dist = dijkstra(arcs, indices=n, unweighted=True)[:n] - 1.0
+        ends = np.isfinite(dist[src]) & (mate < 0)
+        if not ends.any():
+            return None
+        # Retire up front every out-copy with no layered path to a free
+        # in-copy: no augmentation in this phase gives it one, so its
+        # search could only fail (see `augment_from`).
+        layered = step & (dist[np.maximum(mate, 0)] == dist[src] + 1)
+        alive = reach_mask(n, mate[layered], src[layered], src[ends])
+        dist[~alive] = inf
+        return free[alive[free]].tolist(), dist.tolist()
 
-    def dfs(root):
-        # iterative alternating DFS along the BFS layering
+    def augment_from(root, dist):
+        """Depth-first search from a free out-copy along the layering;
+        augments at the first free in-copy met, and retires (dist = inf)
+        every out-copy it leaves without success.
+
+        Why `layering` may retire out-copies up front: augmenting never
+        adds a layered arc out of an out-copy that had no layered path to
+        a free in-copy when the phase began.  An in-copy matched at the
+        start has its partner at most one layer above each neighbour
+        (BFS); an augmentation through it moves the partner one layer
+        down, after which no neighbour sits one layer below the partner,
+        so it carries no layered arc again.  New arcs thus run only
+        through in-copies free at the start, whose neighbours all had a
+        path.  A retired out-copy is one whose search would fail, and
+        every augmentation stays as it was.
+        """
         path = [root]
-        iters[root] = 0
+        nxt[root] = indptr[root]
         while path:
             u = path[-1]
-            advanced = False
-            while iters[u] < len(adj[u]):
-                v = adj[u][iters[u]]
-                iters[u] += 1
+            k, end, want = nxt[u], indptr[u + 1], dist[u] + 1
+            while k < end:
+                v = heads[k]
+                k += 1
                 w = pair_r[v]
                 if w < 0:
-                    # augment along the stored path
                     for x in reversed(path):
                         pair_r[v], pair_l[x], v = x, v, pair_l[x]
                     return True
-                if dist[w] == dist[u] + 1:
-                    iters[w] = 0
+                if dist[w] == want:
+                    nxt[u] = k
+                    nxt[w] = indptr[w]
                     path.append(w)
-                    advanced = True
                     break
-            if not advanced:
-                dist[u] = INF
+            else:
+                dist[u] = inf
                 path.pop()
         return False
 
-    while bfs():
-        for u in range(n):
-            if pair_l[u] < 0 and adj[u]:
-                dfs(u)
+    while (phase := layering()) is not None:
+        roots, dist = phase
+        # the layering reached a free in-copy, so some search must augment
+        if not sum(augment_from(root, dist) for root in roots):
+            raise InvariantViolation("Hopcroft-Karp phase without an "
+                                     "augmenting path")
+    return Matching(np.array(pair_l, dtype=np.intp),
+                    np.array(pair_r, dtype=np.intp))
+
+
+def any_maximum_matching(g: DiGraph) -> Matching:
+    """Some maximum matching of g's bipartite split, from scipy's C
+    Hopcroft-Karp.  Which one is unspecified: use it where the answer
+    depends only on the matching's size or holds for every maximum
+    matching, and `maximum_matching` where the matching itself is
+    reported."""
+    indptr, heads = g.sorted_heads()
+    out_adjacency = csr_matrix((np.ones(len(heads), dtype=np.int8), heads,
+                                indptr), shape=(g.n_nodes, g.n_nodes))
+    pair_l = np.asarray(maximum_bipartite_matching(out_adjacency,
+                                                   perm_type="column"),
+                        dtype=np.intp)
+    pair_r = np.full(g.n_nodes, -1, dtype=np.intp)
+    matched = np.flatnonzero(pair_l >= 0)
+    pair_r[pair_l[matched]] = matched
     return Matching(pair_l, pair_r)
 
 
@@ -358,8 +531,7 @@ def scc_decompose(g: DiGraph) -> SccDecomposition:
 
 
 def reachable_from(g: DiGraph, sources) -> set:
-    src, dst = g.arc_arrays()
-    mask = reach_mask(g.n_nodes, src, dst, list(sources))
+    mask = reach_mask(g.n_nodes, g.src, g.dst, list(sources))
     return set(np.flatnonzero(mask).tolist())
 
 
@@ -398,8 +570,7 @@ def max_weight_cycle_partition(g: DiGraph, inputs):
     np.fill_diagonal(w, 0.0)  # added self-loops
     for i in range(n):
         w[i, n:] = 0.0  # added return edges state -> input
-    for s, d, _ in g.edges:
-        w[s, d] = 1.0
+    w[g.src, g.dst] = 1.0
     for j, tgt in enumerate(inputs):
         w[n + j, tgt] = 1.0  # input edge, part of the original system graph
     total, assign = max_weight_assignment(w)
@@ -431,7 +602,7 @@ def directed_core(g: DiGraph):
     n = g.n_nodes
     # vertices 0..n-1 are out-copies, n..2n-1 in-copies
     adj = [set() for _ in range(2 * n)]
-    for s, d, _ in g.edges:
+    for s, d in zip(g.src.tolist(), g.dst.tolist()):
         adj[s].add(n + d)
         adj[n + d].add(s)
     removed = [False] * (2 * n)

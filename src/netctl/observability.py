@@ -10,10 +10,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import DimensionMismatch, NoPathToTarget, ParseError
-from .graphs import DiGraph, UnGraph, reachable_from, scc_decompose, transpose
+from .graphs import (
+    DiGraph,
+    UnGraph,
+    component_ids,
+    reachable_from,
+    scc_decompose,
+    transpose,
+)
 from .structural import DriverReport, min_driver_set
 
 
@@ -286,15 +292,11 @@ def observability_transition(
         raise ValueError("phi must lie in [0, 1]")
     n = g.n_nodes
     k = int(phi * n)
-    if g.edges:
-        u, v = np.array(g.edges).T
-        rows = np.concatenate([u, v])
-        cols = np.concatenate([v, u])
-        adj = csr_matrix(
-            (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n)
-        )
-    else:
-        adj = csr_matrix((n, n), dtype=np.int8)
+    rows = np.concatenate([g.u, g.v])
+    cols = np.concatenate([g.v, g.u])
+    adj = csr_matrix(
+        (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n)
+    )
     sizes = []
     for _ in range(trials):
         monitors = rng.choice(n, size=k, replace=False) if k else np.array([], int)
@@ -305,9 +307,9 @@ def observability_transition(
         if idx.size == 0:
             sizes.append(0)
             continue
-        sub = adj[idx][:, idx]
-        _, labels = connected_components(sub, directed=False)
-        sizes.append(np.bincount(labels).max())
+        sub = adj[idx][:, idx].tocoo()
+        ids = component_ids(idx.size, sub.row, sub.col, connection="weak")
+        sizes.append(np.bincount(ids).max())
     return float(np.mean(sizes)) / n
 
 

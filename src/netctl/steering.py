@@ -371,16 +371,16 @@ def _topo_order(g, removed):
     for v in range(g.n_nodes):
         if v not in removed:
             indeg[v] = 0
-    for s, d, _ in g.edges:
+    for s, d in zip(g.src.tolist(), g.dst.tolist()):
         if s not in removed and d not in removed:
             indeg[d] += 1
-    adj = g.out_adj()
+    indptr, heads = (a.tolist() for a in g.sorted_heads())
     stack = [v for v, c in indeg.items() if c == 0]
     order = []
     while stack:
         v = stack.pop()
         order.append(v)
-        for d in adj[v]:
+        for d in heads[indptr[v]:indptr[v + 1]]:
             if d in indeg and d != v:
                 indeg[d] -= 1
                 if indeg[d] == 0:

@@ -1,8 +1,10 @@
 """Matching-based structural controllability analyses.
 
-All operations report one canonical optimum (the Hopcroft-Karp matching
-with lowest-index augmentation) plus counts; optima are exponentially
-numerous and never enumerated here.
+Driver sets come from one canonical optimum (the Hopcroft-Karp matching
+with lowest-index augmentation).  Counts, link and node classes and
+Lin's test hold for every maximum matching, so they run on scipy's C
+matching instead.  Optima are exponentially numerous and never
+enumerated here.
 """
 from __future__ import annotations
 
@@ -12,17 +14,14 @@ import numpy as np
 
 from .errors import EmptyDriverSet, InvariantViolation
 from .graphs import (
-    BipartiteRep,
     DiGraph,
-    bipartite_rep,
+    any_maximum_matching,
     component_ids,
     max_weight_assignment,
     max_weight_cycle_partition,
     maximum_matching,
     reach_mask,
-    reachable_from,
     scc_decompose,
-    weakly_connected_components,
 )
 
 CRITICAL = "critical"
@@ -66,7 +65,7 @@ class ControlProfile:
 def min_driver_set(g: DiGraph) -> DriverReport:
     """Minimum driver nodes: the unmatched nodes of the canonical maximum
     matching; one driver (lowest index) if the matching is perfect."""
-    m = maximum_matching(bipartite_rep(g))
+    m = maximum_matching(g)
     unmatched = m.unmatched_nodes()
     if unmatched:
         drivers = unmatched
@@ -76,49 +75,49 @@ def min_driver_set(g: DiGraph) -> DriverReport:
                         drivers, m.size)
 
 
-def _controlled_matching(g: DiGraph, drivers):
-    """Maximum matching of the bipartite representation of (A, B): state
-    edges plus one input column per driver."""
+def driver_count(g: DiGraph) -> int:
+    """N_D alone.  The size of a maximum matching is the same for every
+    maximum matching, so any one gives it."""
     n = g.n_nodes
-    drivers = sorted(set(drivers))
-    # left: 0..n-1 state out-copies, n..n+m-1 input copies; right: in-copies
-    edges = [(s, d) for s, d, _ in g.edges]
-    for j, v in enumerate(drivers):
-        edges.append((n + j, v))
-    b = BipartiteRep(n + len(drivers), edges)
-    m = maximum_matching(b)
-    return b, m
+    return max(n - any_maximum_matching(g).size, 1) if n else 0
 
 
 def structural_controllability_check(g: DiGraph, drivers):
     """Lin's test: controllable iff no inaccessible node and no dilation.
 
-    Returns (ok, witness) where witness is None, ("inaccessible", node),
-    or ("dilation", S, T_S) with |T(S)| < |S|.
+    Returns (ok, witness) where witness is None, ("inaccessible", node)
+    with the lowest-index inaccessible node, or ("dilation", S, T_S).
+    S is every in-copy reachable by an alternating path from an in-copy
+    left exposed by a maximum matching of (A, B), and T_S = N(S) are the
+    state out-copies u and input copies n + j feeding S.  |S| - |T_S| is
+    the number of exposed in-copies, the largest deficiency any in-copy
+    set has, and S is the smallest set with that deficiency (the
+    intersection of all of them), so the witness is the same for every
+    maximum matching.
     """
     drivers = sorted(set(drivers))
     if not drivers:
         raise EmptyDriverSet("driver set must be nonempty")
     n = g.n_nodes
-    reach = reachable_from(g, drivers)
-    for v in range(n):
-        if v not in reach:
-            return False, ("inaccessible", v)
-    b, m = _controlled_matching(g, drivers)
-    exposed = [v for v in range(n) if m.pair_right[v] < 0]
-    if not exposed:
+    reach = reach_mask(n, g.src, g.dst, drivers)
+    if not reach.all():
+        return False, ("inaccessible", int(np.argmin(reach)))
+    # bipartite split of (A, B): left 0..n-1 state out-copies and
+    # n..n+m-1 input copies, one per driver; right: state in-copies
+    left = np.concatenate([g.src, n + np.arange(len(drivers))])
+    right = np.concatenate([g.dst, drivers])
+    m = any_maximum_matching(DiGraph._of(n + len(drivers), left, right))
+    exposed = np.flatnonzero(m.pair_right[:n] < 0)
+    if not exposed.size:
         return True, None
-    # Hall violator on the in-copy side: alternating search from one exposed
-    # in-copy over in-copy v -> each out-/input copy u feeding it -> u's
-    # matched in-copy; S = in-copies reached, T(S) = out-/input copies
-    # reached.  Vertex ids: in-copy v -> v, out-/input copy u -> n + u.
-    left, right = np.array(b.edges, dtype=np.intp).T
-    pair_left = np.array(m.pair_left)
-    matched = np.flatnonzero(pair_left >= 0)
-    reached = reach_mask(n + b.n_nodes,
+    # alternating search over in-copy v -> each out-/input copy u feeding
+    # it -> u's matched in-copy.  Vertex ids: in-copy v -> v, out-/input
+    # copy u -> n + u.
+    matched = np.flatnonzero(m.pair_left >= 0)
+    reached = reach_mask(n + len(m.pair_left),
                          np.concatenate([right, n + matched]),
-                         np.concatenate([n + left, pair_left[matched]]),
-                         [exposed[0]])
+                         np.concatenate([n + left, m.pair_left[matched]]),
+                         exposed)
     S = np.flatnonzero(reached[:n]).tolist()
     T = np.flatnonzero(reached[n:]).tolist()
     return False, ("dilation", S, T)
@@ -128,56 +127,55 @@ def _alternating_structure(g: DiGraph):
     """Shared machinery for link/node classification.
 
     Builds the alternating-path digraph D on bipartite copies (unmatched
-    edge u+ -> v-, matched edge v- -> u+) and returns the canonical
-    matching plus three per-vertex lists:
+    edge u+ -> v-, matched edge v- -> u+) of one maximum matching and
+    returns the matching, which edges it holds, and three per-vertex
+    arrays:
       comp[x]             -- SCC of x in D (alternating cycle iff equal)
       from_free_left[x]   -- x reachable from an exposed out-copy
       to_free_right[x]    -- x reaches an exposed in-copy
     Vertex ids: out-copy i -> i, in-copy i -> n + i.
     """
     n = g.n_nodes
-    b = bipartite_rep(g)
-    m = maximum_matching(b)
-    u, v = np.array(b.edges, dtype=np.intp).reshape(-1, 2).T
-    pair_left = np.array(m.pair_left, dtype=np.intp)
-    pair_right = np.array(m.pair_right, dtype=np.intp)
-    in_matching = pair_left[u] == v
+    m = any_maximum_matching(g)
+    u, v = g.src, g.dst
+    in_matching = m.pair_left[u] == v
     src = np.where(in_matching, n + v, u)
     dst = np.where(in_matching, u, n + v)
     comp = component_ids(2 * n, src, dst)
-    from_free_left = reach_mask(2 * n, src, dst, np.flatnonzero(pair_left < 0))
+    from_free_left = reach_mask(2 * n, src, dst,
+                                np.flatnonzero(m.pair_left < 0))
     to_free_right = reach_mask(2 * n, dst, src,
-                               n + np.flatnonzero(pair_right < 0))
-    return m, comp.tolist(), from_free_left.tolist(), to_free_right.tolist()
+                               n + np.flatnonzero(m.pair_right < 0))
+    return m, in_matching, comp, from_free_left, to_free_right
+
+
+def _tagged(code, names, total):
+    """Tag list and {tag: fraction} from per-item indices into `names`."""
+    counts = np.bincount(code, minlength=len(names)).tolist()
+    tags = np.array(names, dtype=object)[code].tolist()
+    return tags, {t: (c / total if total else 0.0)
+                  for t, c in zip(names, counts)}
 
 
 def classify_links(g: DiGraph) -> LinkClass:
     """Tag each link critical / redundant / ordinary from one maximum
-    matching plus alternating-path reachability (Berge's property)."""
+    matching plus alternating-path reachability (Berge's property); the
+    tags hold for every maximum matching, so any one will do."""
     n = g.n_nodes
-    m, comp, from_free_left, to_free_right = _alternating_structure(g)
-    tags = []
-    for s, d, _ in g.edges:
-        u, v = s, n + d
-        exchangeable = (
-            comp[u] == comp[v]
-            or from_free_left[u]
-            or to_free_right[v]
-        )
-        if m.pair_left[u] == d:  # in the canonical matching
-            tags.append(ORDINARY if exchangeable else CRITICAL)
-        else:
-            in_some = (
-                m.pair_left[u] < 0 and m.pair_right[d] >= 0
-            ) or (
-                m.pair_right[d] < 0 and m.pair_left[u] >= 0
-            ) or exchangeable
-            tags.append(ORDINARY if in_some else REDUNDANT)
-    ne = len(tags)
-    fractions = {
-        t: (tags.count(t) / ne if ne else 0.0)
-        for t in (CRITICAL, REDUNDANT, ORDINARY)
-    }
+    m, in_matching, comp, from_free_left, to_free_right = \
+        _alternating_structure(g)
+    u, v = g.src, g.dst
+    exchangeable = (comp[u] == comp[n + v]) | from_free_left[u] \
+        | to_free_right[n + v]
+    left_free = m.pair_left[u] < 0
+    right_free = m.pair_right[v] < 0
+    in_some = (left_free & ~right_free) | (right_free & ~left_free) \
+        | exchangeable
+    # 0 critical, 1 redundant, 2 ordinary
+    code = np.where(in_matching, np.where(exchangeable, 2, 0),
+                    np.where(in_some, 2, 1))
+    tags, fractions = _tagged(code, (CRITICAL, REDUNDANT, ORDINARY),
+                              g.n_edges)
     return LinkClass(tags, fractions)
 
 
@@ -185,20 +183,14 @@ def classify_nodes(g: DiGraph) -> NodeClass:
     """Matching-role tags: a node is critical if unmatched in every
     maximum matching, redundant if matched in every, else intermittent."""
     n = g.n_nodes
-    m, comp, from_free_left, to_free_right = _alternating_structure(g)
-    in_deg = g.in_degrees()
-    tags = []
-    for v in range(n):
-        if m.pair_right[v] < 0:
-            # exposed in the canonical matching; matched in some matching
-            # iff it has any in-edge (trivial exchange with its neighbour)
-            tags.append(INTERMITTENT if in_deg[v] > 0 else CRITICAL)
-        else:
-            tags.append(INTERMITTENT if to_free_right[n + v] else REDUNDANT)
-    fractions = {
-        t: (tags.count(t) / n if n else 0.0)
-        for t in (CRITICAL, INTERMITTENT, REDUNDANT)
-    }
+    m, _, _, _, to_free_right = _alternating_structure(g)
+    # a node exposed in this matching is matched in some other one iff it
+    # has an in-edge (trivial exchange with its neighbour)
+    has_in = np.bincount(g.dst, minlength=n) > 0
+    # 0 critical, 1 intermittent, 2 redundant
+    code = np.where(m.pair_right < 0, np.where(has_in, 1, 0),
+                    np.where(to_free_right[n:], 1, 2))
+    tags, fractions = _tagged(code, (CRITICAL, INTERMITTENT, REDUNDANT), n)
     return NodeClass(tags, fractions)
 
 
@@ -209,11 +201,10 @@ DELETION_REDUNDANT = "deletion-redundant"
 
 def classify_nodes_deletion(g: DiGraph) -> NodeClass:
     """Deletion tags: recompute the driver count on each node-deleted graph."""
-    base = min_driver_set(g).n_drivers
+    base = driver_count(g)
     tags = []
     for v in range(g.n_nodes):
-        sub = g.delete_node(v)
-        nd = min_driver_set(sub).n_drivers if sub.n_nodes else 0
+        nd = driver_count(g.delete_node(v))
         if nd > base:
             tags.append(DELETION_CRITICAL)
         elif nd < base:
@@ -229,14 +220,12 @@ def classify_nodes_deletion(g: DiGraph) -> NodeClass:
 
 
 def control_profile(g: DiGraph) -> ControlProfile:
-    n_d = min_driver_set(g).n_drivers
-    in_deg = g.in_degrees()
-    out_deg = g.out_degrees()
-    n_s = sum(1 for k in in_deg if k == 0)
-    n_t = sum(1 for k in out_deg if k == 0)
+    n_d = driver_count(g)
+    n = g.n_nodes
+    n_s = n - np.count_nonzero(np.bincount(g.dst, minlength=n))
+    n_t = n - np.count_nonzero(np.bincount(g.src, minlength=n))
     n_e = max(0, n_t - n_s)
     n_i = n_d - n_s - n_e
-    n = g.n_nodes
     return ControlProfile(n_s, n_t, n_e, n_i,
                           (n_s / n, n_e / n, n_i / n) if n else (0.0,) * 3)
 
@@ -247,16 +236,10 @@ def control_centrality(g: DiGraph, controlled) -> int:
     controlled = sorted(set(controlled))
     if not controlled:
         raise EmptyDriverSet("controlled set must be nonempty")
-    reach = reachable_from(g, controlled)
-    keep = sorted(reach)
-    remap = {old: new for new, old in enumerate(keep)}
-    sub = DiGraph(
-        len(keep),
-        [(remap[s], remap[d], w) for s, d, w in g.edges
-         if s in reach and d in reach],
-        [g.labels[i] for i in keep],
-    )
-    weight, _ = max_weight_cycle_partition(sub, [remap[v] for v in controlled])
+    reach = reach_mask(g.n_nodes, g.src, g.dst, controlled)
+    remap = np.cumsum(reach) - 1
+    weight, _ = max_weight_cycle_partition(g.subgraph(reach),
+                                           remap[controlled].tolist())
     return weight
 
 
@@ -282,8 +265,7 @@ def min_actuators(g: DiGraph) -> ActuatorReport:
     scc = scc_decompose(g)
     roots = scc.root_components()
     beta = len(roots)
-    m = maximum_matching(bipartite_rep(g))
-    m_size = m.size
+    m_size = any_maximum_matching(g).size
 
     if m_size == n and n > 0:
         # perfectly matched: the single floor driver can sit in any root SCC
@@ -300,8 +282,7 @@ def min_actuators(g: DiGraph) -> ActuatorReport:
     cols = n  # right: in-copies
     dim = max(size, cols)
     w = np.zeros((dim, dim))
-    for s, d, _ in g.edges:
-        w[s, d] = big
+    w[g.src, g.dst] = big
     for j, c in enumerate(roots):
         for v in scc.components[c]:
             w[n + j, v] = 1.0
@@ -330,11 +311,14 @@ def min_actuators(g: DiGraph) -> ActuatorReport:
 
 def switchboard_drivers(g: DiGraph):
     """Driver nodes of the edge (switchboard) dynamics: divergent nodes
-    plus one representative per balanced component."""
-    in_deg = g.in_degrees()
-    out_deg = g.out_degrees()
-    drivers = {v for v in range(g.n_nodes) if out_deg[v] > in_deg[v]}
-    for comp in weakly_connected_components(g):
-        if all(in_deg[v] == out_deg[v] and in_deg[v] >= 1 for v in comp):
-            drivers.add(comp[0])
-    return sorted(drivers)
+    plus one representative (the lowest index) per balanced weak
+    component."""
+    n = g.n_nodes
+    in_deg = np.bincount(g.dst, minlength=n)
+    out_deg = np.bincount(g.src, minlength=n)
+    comp = component_ids(n, g.src, g.dst, connection="weak")
+    unbalanced = np.bincount(comp, weights=(in_deg != out_deg) | (in_deg < 1))
+    _, lowest = np.unique(comp, return_index=True)
+    drivers = np.union1d(np.flatnonzero(out_deg > in_deg),
+                         lowest[unbalanced == 0])
+    return drivers.tolist()

@@ -220,3 +220,120 @@ def min_energy_trace_reference(a, b, x_i, x_f, t_final, t_eval):
     sol = solve_ivp(lambda t, x: a @ x + b @ u_of(t), (0.0, t_final), x_i,
                     t_eval=t_eval, rtol=1e-10, atol=1e-12)
     return np.array([u_of(t) for t in t_eval]), sol.y.T
+
+
+def hopcroft_karp_reference(n, pairs):
+    """Canonical Hopcroft-Karp matching of the bipartite split of a digraph
+    on n nodes with edge list `pairs`, over Python adjacency lists: each
+    phase is a full BFS layering from the free out-copies, then an
+    iterative DFS from each free out-copy in index order along index-sorted
+    adjacency.  Returns (pair_left, pair_right) lists."""
+    from collections import deque
+
+    adj = [[] for _ in range(n)]
+    for s, d in pairs:
+        adj[s].append(d)
+    for a in adj:
+        a.sort()
+    pair_l = [-1] * n
+    pair_r = [-1] * n
+    INF = float("inf")
+    dist = [INF] * n
+
+    def bfs():
+        q = deque()
+        for u in range(n):
+            if pair_l[u] < 0 and adj[u]:
+                dist[u] = 0
+                q.append(u)
+            else:
+                dist[u] = INF
+        found = False
+        while q:
+            u = q.popleft()
+            for v in adj[u]:
+                w = pair_r[v]
+                if w < 0:
+                    found = True
+                elif dist[w] is INF:
+                    dist[w] = dist[u] + 1
+                    q.append(w)
+        return found
+
+    iters = [0] * n
+
+    def dfs(root):
+        path = [root]
+        iters[root] = 0
+        while path:
+            u = path[-1]
+            advanced = False
+            while iters[u] < len(adj[u]):
+                v = adj[u][iters[u]]
+                iters[u] += 1
+                w = pair_r[v]
+                if w < 0:
+                    for x in reversed(path):
+                        pair_r[v], pair_l[x], v = x, v, pair_l[x]
+                    return True
+                if dist[w] == dist[u] + 1:
+                    iters[w] = 0
+                    path.append(w)
+                    advanced = True
+                    break
+            if not advanced:
+                dist[u] = INF
+                path.pop()
+        return False
+
+    while bfs():
+        for u in range(n):
+            if pair_l[u] < 0 and adj[u]:
+                dfs(u)
+    return pair_l, pair_r
+
+
+def parse_edge_list_reference(text, directed=True):
+    """Line-by-line edge-list reader.  Returns (labels, edges): edges are
+    (src, dst, weight) triples, or (min, max) pairs when undirected.
+    Raises ParseError / DuplicateEdge with the 1-based line number of the
+    first bad line, and ValueError for an undirected self-pair."""
+    from netctl.errors import DuplicateEdge, ParseError
+
+    labels = {}
+    order = []
+
+    def intern(name):
+        if name not in labels:
+            labels[name] = len(order)
+            order.append(name)
+        return labels[name]
+
+    edges = []
+    seen = set()
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) not in (2, 3):
+            raise ParseError(line_no, f"expected 'src dst [weight]', got {raw!r}")
+        src, dst = intern(parts[0]), intern(parts[1])
+        if len(parts) == 3:
+            try:
+                w = float(parts[2])
+            except ValueError:
+                raise ParseError(line_no, f"bad weight {parts[2]!r}") from None
+        else:
+            w = 1.0
+        key = (src, dst) if directed else (min(src, dst), max(src, dst))
+        if key in seen:
+            raise DuplicateEdge(line_no, parts[0], parts[1])
+        seen.add(key)
+        edges.append((src, dst, w))
+    if directed:
+        return order, edges
+    for s, d, _ in edges:
+        if s == d:
+            raise ValueError(f"self-pair ({s},{d})")
+    return order, [(min(s, d), max(s, d)) for s, d, _ in edges]

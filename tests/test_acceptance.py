@@ -58,6 +58,7 @@ from netctl.steering import (
 )
 from netctl.structural import (
     classify_links,
+    driver_count,
     min_actuators,
     min_driver_set,
 )
@@ -162,7 +163,7 @@ def test_criterion_02_cavity_vs_simulation(capsys):
         nd_cavity[k] = solve_cavity_er(k)[0]
         for seed in range(5):
             rng = np.random.default_rng(1000 + seed)
-            nd_sim = min_driver_set(er_digraph(n, k, rng)).n_drivers / n
+            nd_sim = driver_count(er_digraph(n, k, rng)) / n
             worst = max(worst, abs(nd_cavity[k] - nd_sim))
     # n_D ≈ e^{-<k>/2} is a large-<k> limit, not a bound at <k> = 8: the
     # relative gap n_D e^{<k>/2} - 1 decays like (<k>^2/8) e^{-<k>/2}, which

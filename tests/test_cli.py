@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -199,6 +200,44 @@ class TestStructuralCommands:
     def test_switchboard(self, files, capsys):
         doc = run_json(capsys, ["switchboard", "--input", files["ring"]])
         assert doc["n_drivers"] >= 1
+
+
+class TestCsvOutput:
+    """--format csv is valid CSV: nested values are JSON strings, quoted by
+    the csv module; each cell reads back to the JSON output's value."""
+
+    def round_trip(self, capsys, argv):
+        doc = run_json(capsys, argv)
+        assert cli.main(argv + ["--format", "csv"]) == 0
+        header, values = csv.reader(capsys.readouterr().out.splitlines())
+        assert header == sorted(k for k in doc if k not in ("schema",
+                                                            "command"))
+        for key, cell in zip(header, values):
+            want = doc[key]
+            if isinstance(want, (list, dict)):
+                assert json.loads(cell) == want
+            else:
+                assert cell == str(want)
+        return dict(zip(header, values))
+
+    def test_drivers(self, files, capsys):
+        row = self.round_trip(capsys, ["drivers", "--input", files["star"]])
+        assert json.loads(row["drivers"]) == ["h", "b", "c"]
+
+    def test_check_inaccessible(self, files, capsys):
+        row = self.round_trip(capsys, ["check", "--input", files["star"],
+                                       "--drivers", "a"])
+        assert json.loads(row["witness"]) == ["inaccessible", 0]
+
+    def test_check_dilation(self, files, capsys):
+        row = self.round_trip(capsys, ["check", "--input", files["star"],
+                                       "--drivers", "h"])
+        assert json.loads(row["witness"]) == ["dilation", [1, 2, 3], [0]]
+
+    def test_classify_links(self, files, capsys):
+        row = self.round_trip(capsys, ["classify-links", "--input",
+                                       files["star"]])
+        assert sum(float(row[k]) for k in row) == pytest.approx(1.0)
 
 
 class TestAnalyticCommands:

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netctl import graphs
 from netctl.errors import DuplicateEdge, ParseError
 from netctl.graphs import (
     DiGraph,
     UnGraph,
-    bipartite_rep,
+    any_maximum_matching,
     directed_core,
     max_weight_cycle_partition,
     maximum_matching,
@@ -21,7 +22,12 @@ from netctl.graphs import (
     weakly_connected_components,
 )
 from netctl.generators import er_digraph
-from oracles import longest_path_layers, maximum_matchings
+from oracles import (
+    hopcroft_karp_reference,
+    longest_path_layers,
+    maximum_matchings,
+    parse_edge_list_reference,
+)
 
 
 def digraph(n, pairs):
@@ -66,6 +72,87 @@ class TestParse:
         assert g.edges == [(0, 1), (1, 2)]
 
 
+# pieces of generated edge lists: labels (some with '#' or non-ASCII
+# letters), weights (some malformed), whitespace and line boundaries of
+# every kind str.split() and str.splitlines() know
+LABEL = st.sampled_from(["a", "b", "c", "d", "0", "1", "#x", "x#", "é", "日本"])
+WEIGHT = st.sampled_from(["2", "0.5", "-1e3", "inf", "nan", "1_0", " 3",
+                          "bad", "0x1"])
+SPACE = st.sampled_from([" ", "  ", "\t", "\xa0", "\u2003", "\x1f",
+                         "\u3000"])
+BREAK = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c",
+                         "\x85", "\u2028"])
+
+
+@st.composite
+def edge_list_text(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(
+            ["edge"] * 8 + ["weighted"] * 3 + ["comment", "blank", "short",
+                                               "long"]))
+        tokens = {"edge": 2, "weighted": 2, "comment": 2, "blank": 0,
+                  "short": 1, "long": 4}[kind]
+        parts = [draw(LABEL) for _ in range(tokens)]
+        if kind == "weighted":
+            parts.append(draw(WEIGHT))
+        if kind == "comment":
+            parts[0] = "#" + parts[0]
+        body = "".join(draw(SPACE) + p if i else p
+                       for i, p in enumerate(parts))
+        lead = draw(st.sampled_from(["", " ", "\t"]))
+        lines.append(lead + body + draw(st.sampled_from(["", " "])))
+    ends = [draw(BREAK) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    return text if draw(st.booleans()) else text.rstrip("\n\r")
+
+
+def parse_outcome(parse, text, directed):
+    """(labels, edges) or (exception class, line number, message)."""
+    try:
+        got = parse(text, directed)
+    except (ParseError, DuplicateEdge, ValueError) as exc:
+        return type(exc), getattr(exc, "line_no", None), str(exc)
+    if isinstance(got, tuple):
+        return got[0], repr(got[1])  # repr: nan weights compare equal
+    return got.labels, repr(got.edges)
+
+
+class TestParseAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(edge_list_text(), st.booleans())
+    def test_same_graph_or_same_error(self, text, directed):
+        assert parse_outcome(parse_edge_list, text, directed) == \
+            parse_outcome(parse_edge_list_reference, text, directed)
+
+    def test_undirected_reversed_duplicate(self):
+        with pytest.raises(DuplicateEdge) as exc:
+            parse_edge_list("a b\nb c\nb a\n", directed=False)
+        assert exc.value.line_no == 3
+
+    def test_earliest_error_wins(self):
+        text = "a b\nc d x\nbroken\na b\n"
+        with pytest.raises(ParseError) as exc:
+            parse_edge_list(text)
+        assert exc.value.line_no == 2 and "bad weight" in str(exc.value)
+
+    def test_character_tables_match_python(self):
+        space = [c for c in range(0x110000) if chr(c).isspace()]
+        breaks = [c for c in range(0x110000)
+                  if len(("a" + chr(c) + "b").splitlines()) == 2]
+        assert np.flatnonzero(graphs._SPACE).tolist() == space
+        assert np.flatnonzero(graphs._BREAK).tolist() == breaks
+
+    def test_seeded_er_file(self):
+        g = er_digraph(3000, 4.0, np.random.default_rng(5))
+        text = "# seeded ER\n" + "".join(
+            f"n{s} n{d} {w}\n" if s % 7 == 0 else f"n{s}\tn{d}\n"
+            for s, d, w in g.edges)
+        labels, edges = parse_edge_list_reference(text)
+        got = parse_edge_list(text)
+        assert got.labels == labels and got.edges == edges
+
+
 class TestTranspose:
     def test_path(self):
         g = parse_edge_list("a b\nb c")
@@ -83,34 +170,38 @@ class TestTranspose:
         assert transpose(g).edges == g.edges
 
 
-class TestBipartiteRep:
+def arcs(g):
+    return list(zip(*(a.tolist() for a in g.arc_arrays())))
+
+
+class TestArcArrays:
+    """The arc arrays are the bipartite split the matchings run on: edge i
+    joins out-copy src[i] to in-copy dst[i]."""
+
     def test_edges_and_self_loops(self):
-        g = digraph(3, [(0, 1), (2, 2)])
-        b = bipartite_rep(g)
-        assert b.edges == [(0, 1), (2, 2)]
+        assert arcs(digraph(3, [(0, 1), (2, 2)])) == [(0, 1), (2, 2)]
 
     def test_empty(self):
-        assert bipartite_rep(digraph(4, [])).edges == []
+        assert arcs(digraph(4, [])) == []
 
     def test_star(self):
-        b = bipartite_rep(digraph(3, [(0, 1), (0, 2)]))
-        assert b.edges == [(0, 1), (0, 2)]
+        assert arcs(digraph(3, [(0, 1), (0, 2)])) == [(0, 1), (0, 2)]
 
 
 class TestMatching:
     def test_path3(self):
-        m = maximum_matching(bipartite_rep(digraph(3, [(0, 1), (1, 2)])))
+        m = maximum_matching(digraph(3, [(0, 1), (1, 2)]))
         assert m.size == 2
         assert m.unmatched_nodes() == [0]
 
     def test_star(self):
-        m = maximum_matching(bipartite_rep(digraph(3, [(0, 1), (0, 2)])))
+        m = maximum_matching(digraph(3, [(0, 1), (0, 2)]))
         assert m.size == 1
         # canonical augmentation prefers the lowest right index
         assert m.pair_left[0] == 1
 
     def test_cycle_perfect(self):
-        m = maximum_matching(bipartite_rep(digraph(3, [(0, 1), (1, 2), (2, 0)])))
+        m = maximum_matching(digraph(3, [(0, 1), (1, 2), (2, 0)]))
         assert m.size == 3
         assert m.unmatched_nodes() == []
 
@@ -119,13 +210,13 @@ class TestMatching:
     def test_cardinality_matches_enumeration(self, g):
         pairs = [(s, d) for s, d, _ in g.edges]
         _, best = maximum_matchings(pairs)
-        m = maximum_matching(bipartite_rep(g))
+        m = maximum_matching(g)
         assert m.size == best
 
     @settings(max_examples=100, deadline=None)
     @given(small_digraphs)
     def test_structural_validity(self, g):
-        m = maximum_matching(bipartite_rep(g))
+        m = maximum_matching(g)
         edges = m.matched_edges()
         tails = [u for u, _ in edges]
         heads = [v for _, v in edges]
@@ -133,6 +224,51 @@ class TestMatching:
         assert len(set(heads)) == len(heads)
         for i in range(g.n_nodes):
             assert m.matched(i) == (i in heads)
+
+
+def seeded_small_digraphs(count, seed, max_nodes=12):
+    """Digraphs on 1..max_nodes nodes at random density (mostly sparse),
+    with self-loops, isolated nodes and empty rows, edges in shuffled
+    order."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, max_nodes)
+        pairs = list({(rng.randrange(n), rng.randrange(n))
+                      for _ in range(int(rng.random() ** 2 * n * n))})
+        rng.shuffle(pairs)
+        yield n, pairs
+
+
+class TestMatchingAgainstReference:
+    """The layered Hopcroft-Karp returns exactly the reference's pairs."""
+
+    @pytest.mark.parametrize("max_nodes", [12, 40])
+    def test_small_digraphs(self, max_nodes):
+        for n, pairs in seeded_small_digraphs(2000, 2024, max_nodes):
+            m = maximum_matching(digraph(n, pairs))
+            pair_l, pair_r = hopcroft_karp_reference(n, pairs)
+            assert m.pair_left.tolist() == pair_l
+            assert m.pair_right.tolist() == pair_r
+
+    @pytest.mark.parametrize("k", [2.0, 4.0, 8.0])
+    def test_er_digraphs(self, k):
+        g = er_digraph(10_000, k, np.random.default_rng(int(k)))
+        m = maximum_matching(g)
+        pair_l, pair_r = hopcroft_karp_reference(
+            g.n_nodes, list(zip(g.src.tolist(), g.dst.tolist())))
+        assert m.pair_left.tolist() == pair_l
+        assert m.pair_right.tolist() == pair_r
+
+    def test_any_maximum_matching_is_a_maximum_matching(self):
+        for n, pairs in seeded_small_digraphs(500, 77):
+            g = digraph(n, pairs)
+            m = any_maximum_matching(g)
+            edges = set(pairs)
+            matched = m.matched_edges()
+            assert all(e in edges for e in matched)
+            assert all(m.pair_right[v] == u for u, v in matched)
+            assert np.count_nonzero(m.pair_right >= 0) == len(matched)
+            assert m.size == maximum_matching(g).size
 
 
 class TestScc:
@@ -233,6 +369,17 @@ class TestAgainstNetworkx:
         want = sorted(sorted(c) for c in
                       nx.weakly_connected_components(nx_digraph(g)))
         assert weakly_connected_components(g) == want
+
+    def test_matching_size(self, n, k, seed):
+        g = er_digraph(n, k, np.random.default_rng(seed))
+        h = nx.Graph()
+        h.add_nodes_from(("out", u) for u in range(n))
+        h.add_nodes_from(("in", v) for v in range(n))
+        h.add_edges_from((("out", s), ("in", d)) for s, d, _ in g.edges)
+        want = len(nx.bipartite.hopcroft_karp_matching(
+            h, top_nodes=[("out", u) for u in range(n)])) // 2
+        assert maximum_matching(g).size == want
+        assert any_maximum_matching(g).size == want
 
     def test_reachable_from_several_sources(self, n, k, seed):
         g = er_digraph(n, k, np.random.default_rng(seed))

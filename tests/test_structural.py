@@ -136,6 +136,35 @@ def test_dilation_witness_is_hall_violator(case):
     assert len(T) < len(S)
 
 
+@given(accessible_driver_sets())
+@settings(max_examples=200, deadline=None)
+def test_dilation_witness_is_smallest_max_deficiency_set(case):
+    """The witness S is the intersection of all in-copy sets of maximum
+    deficiency |S| - |T(S)|, found here by enumerating every subset; so it
+    does not depend on the matching that found it."""
+    g, drivers = case
+    ok, witness = structural_controllability_check(g, drivers)
+    if ok:
+        return
+    n = g.n_nodes
+    feeders = [set() for _ in range(n)]
+    for s, d, _ in g.edges:
+        feeders[d].add(s)
+    for j, v in enumerate(sorted(drivers)):
+        feeders[v].add(n + j)
+    best, common = 0, set()
+    for size in range(1, n + 1):
+        for subset in itertools.combinations(range(n), size):
+            gap = size - len(set().union(*(feeders[v] for v in subset)))
+            if gap > best:
+                best, common = gap, set(subset)
+            elif gap == best and gap > 0:
+                common &= set(subset)
+    _, S, T = witness
+    assert S == sorted(common)
+    assert len(S) - len(T) == best
+
+
 def oracle_link_tags(g):
     pairs = [(s, d) for s, d, _ in g.edges]
     maxima, _ = maximum_matchings(pairs)

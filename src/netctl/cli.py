@@ -23,11 +23,14 @@ def _default_seed():
 
 def _read_text(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") \
             from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 text (byte "
+                         f"{exc.start})") from None
 
 
 def _read_graph(path, directed):

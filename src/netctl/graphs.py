@@ -340,6 +340,13 @@ def parse_edge_list(text, directed=True):
                                lambda ln, tok=tok: ParseError(
                                    ln + 1, f"bad weight {tok!r}")))
                 break
+    if not directed:
+        loops = np.flatnonzero(src == dst)
+        if loops.size:
+            at_loop = int(loops[0])
+            errors.append((int(edge_lines[at_loop]), lambda ln: ParseError(
+                ln + 1, f"self-pair {names[2 * at_loop]!r} in an "
+                        f"undirected graph")))
     key = src * n + dst if directed else \
         np.minimum(src, dst) * n + np.maximum(src, dst)
     dup = _first_duplicate(key)
@@ -363,19 +370,33 @@ def maximum_matching(g: DiGraph) -> Matching:
 
     Deterministic: free out-copies are processed in index order and
     adjacency is index-sorted, so augmentation prefers the lowest
-    available in-copy.  The first phase is the greedy pass that gives
-    each out-copy its lowest free in-copy.  Every later phase takes its
-    BFS layering from one csgraph shortest-path call, retires the
-    out-copies that cannot reach a free in-copy along it, and augments by
-    depth-first search along the layering, in Python.
+    available in-copy.
+    """
+    pair_l = [-1] * g.n_nodes
+    pair_r = [-1] * g.n_nodes
+    _augment(g, pair_l, pair_r)
+    return Matching(np.array(pair_l, dtype=np.intp),
+                    np.array(pair_r, dtype=np.intp))
+
+
+def _augment(g: DiGraph, pair_l, pair_r):
+    """Hopcroft-Karp on g's bipartite split, in place, from the matching
+    given by the lists pair_l / pair_r until it is maximum.  An
+    augmenting path never unmatches an out-copy.
+
+    The first phase is the greedy pass that gives each free out-copy its
+    lowest free in-copy.  Every later phase takes its BFS layering from
+    one csgraph shortest-path call, retires the out-copies that cannot
+    reach a free in-copy along it, and augments by depth-first search
+    along the layering, in Python.
     """
     n = g.n_nodes
     indptr_a, heads_a = g.sorted_heads()
     indptr = indptr_a.tolist()
     heads = heads_a.tolist()
-    pair_l = [-1] * n
-    pair_r = [-1] * n
     for u in range(n):
+        if pair_l[u] >= 0:
+            continue
         for k in range(indptr[u], indptr[u + 1]):
             v = heads[k]
             if pair_r[v] < 0:
@@ -457,8 +478,6 @@ def maximum_matching(g: DiGraph) -> Matching:
         if not sum(augment_from(root, dist) for root in roots):
             raise InvariantViolation("Hopcroft-Karp phase without an "
                                      "augmenting path")
-    return Matching(np.array(pair_l, dtype=np.intp),
-                    np.array(pair_r, dtype=np.intp))
 
 
 def any_maximum_matching(g: DiGraph) -> Matching:
@@ -533,62 +552,6 @@ def scc_decompose(g: DiGraph) -> SccDecomposition:
 def reachable_from(g: DiGraph, sources) -> set:
     mask = reach_mask(g.n_nodes, g.src, g.dst, list(sources))
     return set(np.flatnonzero(mask).tolist())
-
-
-def max_weight_assignment(weight):
-    """Maximum-weight perfect assignment on a square weight matrix.
-
-    Returns (total_weight, col_of_row).  Thin wrapper over the Hungarian
-    solver in scipy; deterministic for a given matrix.
-    """
-    from scipy.optimize import linear_sum_assignment
-
-    w = np.asarray(weight, dtype=float)
-    rows, cols = linear_sum_assignment(w, maximize=True)
-    assign = np.empty(w.shape[0], dtype=int)
-    assign[rows] = cols
-    return float(w[rows, cols].sum()), assign
-
-
-def max_weight_cycle_partition(g: DiGraph, inputs):
-    """Maximum-weight node-disjoint cycle cover of the augmented graph.
-
-    The augmented graph adds one input vertex per element of `inputs` with
-    a weight-1 edge into its controlled node, weight-0 return edges from
-    every state vertex to every input vertex, and weight-0 self-loops
-    wherever missing.  Original (state and input) edges weigh 1.  The
-    optimum weight is the generic dimension of the controllable subspace.
-    """
-    inputs = sorted(set(inputs))
-    n = g.n_nodes
-    m = len(inputs)
-    size = n + m
-    # weight matrix over (out-copy, in-copy) pairs of the augmented digraph;
-    # pairs that are not augmented-graph edges are strictly forbidden
-    big = float(size + 1)
-    w = np.full((size, size), -big)
-    np.fill_diagonal(w, 0.0)  # added self-loops
-    for i in range(n):
-        w[i, n:] = 0.0  # added return edges state -> input
-    w[g.src, g.dst] = 1.0
-    for j, tgt in enumerate(inputs):
-        w[n + j, tgt] = 1.0  # input edge, part of the original system graph
-    total, assign = max_weight_assignment(w)
-    # recover the cycle partition on augmented vertex ids
-    partition = []
-    seen = [False] * size
-    for start in range(size):
-        if seen[start]:
-            continue
-        cyc = []
-        v = start
-        while not seen[v]:
-            seen[v] = True
-            cyc.append(v)
-            v = int(assign[v])
-        if len(cyc) > 1 or assign[start] == start:
-            partition.append(cyc)
-    return int(round(total)), partition
 
 
 def directed_core(g: DiGraph):

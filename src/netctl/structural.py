@@ -11,14 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .errors import EmptyDriverSet, InvariantViolation
 from .graphs import (
     DiGraph,
+    _augment,
     any_maximum_matching,
     component_ids,
-    max_weight_assignment,
-    max_weight_cycle_partition,
     maximum_matching,
     reach_mask,
     scc_decompose,
@@ -35,10 +36,6 @@ class DriverReport:
     n_drivers: int
     drivers: list  # canonical minimum driver node set, sorted indices
     matching_size: int
-    node_tags: dict = None  # optional critical/intermittent/redundant tags
-
-    def driver_labels(self, g):
-        return [g.labels[i] for i in self.drivers]
 
 
 @dataclass
@@ -231,16 +228,33 @@ def control_profile(g: DiGraph) -> ControlProfile:
 
 
 def control_centrality(g: DiGraph, controlled) -> int:
-    """Generic dimension of the subspace controllable from `controlled`
-    (maximum-weight cycle partition on the accessible part)."""
+    """Generic dimension of the subspace controllable from `controlled`:
+    the most accessible nodes that disjoint stems and cycles cover.
+
+    One maximum-weight full matching on the accessible part.  Rows are
+    the state out-copies plus one input per controlled node, columns the
+    state in-copies.  A link or an input link weighs 2 and each column's
+    added own loop 1 (2 where the node has a self-loop), so a matching
+    weighs n plus the nodes it covers.  The m rows it leaves unmatched
+    are those a square cycle cover would close with weightless return
+    arcs, which thus need no entries.
+    """
     controlled = sorted(set(controlled))
     if not controlled:
         raise EmptyDriverSet("controlled set must be nonempty")
     reach = reach_mask(g.n_nodes, g.src, g.dst, controlled)
-    remap = np.cumsum(reach) - 1
-    weight, _ = max_weight_cycle_partition(g.subgraph(reach),
-                                           remap[controlled].tolist())
-    return weight
+    sub = g.subgraph(reach)
+    n, m = sub.n_nodes, len(controlled)
+    loop = sub.src == sub.dst
+    own = np.ones(n)
+    own[sub.src[loop]] = 2.0
+    rows = np.concatenate([sub.src[~loop], n + np.arange(m), np.arange(n)])
+    cols = np.concatenate([sub.dst[~loop], (np.cumsum(reach) - 1)[controlled],
+                           np.arange(n)])
+    weight = np.concatenate([np.full(len(rows) - n, 2.0), own])
+    w = csr_matrix((weight, (rows, cols)), shape=(n + m, n))
+    matched = min_weight_full_bipartite_matching(w, maximize=True)
+    return int(w[matched].sum()) - n
 
 
 @dataclass
@@ -253,59 +267,50 @@ class ActuatorReport:
 
 
 def min_actuators(g: DiGraph) -> ActuatorReport:
-    """Minimum dedicated actuators N_da = N_D + beta - alpha.
+    """Minimum dedicated actuators N_a = N_D + beta - alpha.
 
-    alpha (the maximum number of root SCCs holding a driver node over all
-    maximum matchings) is found exactly with a two-level weighted
-    matching: real bipartite edges get a weight large enough that
-    cardinality is never sacrificed, and one unit-weight slack left
-    vertex per root SCC marks an exposed in-copy inside it.
+    alpha is the most root SCCs that hold a driver node in one maximum
+    matching.  The canonical matching is continued by Hopcroft-Karp on a
+    combined graph with one slack out-copy per root SCC, joined to that
+    SCC's in-copies.  Augmenting never unmatches an out-copy, so the real
+    part keeps its size, and the slacks matched at the end number alpha
+    (Mendelsohn-Dulmage).  The actuators are the in-copies left without a
+    real partner plus the first member of each root SCC no slack reached.
     """
     n = g.n_nodes
     scc = scc_decompose(g)
     roots = scc.root_components()
     beta = len(roots)
-    m_size = any_maximum_matching(g).size
+    m = maximum_matching(g)
 
-    if m_size == n and n > 0:
+    if m.size == n and n > 0:
         # perfectly matched: the single floor driver can sit in any root SCC
         alpha = 1
-        first = scc.components[roots[0]][0]
-        drivers = [first]
-        actuators = sorted({first} | {scc.components[c][0] for c in roots[1:]})
+        actuators = sorted({scc.components[c][0] for c in roots})
         return ActuatorReport(1 + beta - alpha, actuators, 1, beta, alpha)
 
-    n_d = max(n - m_size, 1) if n else 0
-    # slack left vertices, one per root SCC
-    big = float(beta + 1)
-    size = n + beta  # left: out-copies + slacks
-    cols = n  # right: in-copies
-    dim = max(size, cols)
-    w = np.zeros((dim, dim))
-    w[g.src, g.dst] = big
-    for j, c in enumerate(roots):
-        for v in scc.components[c]:
-            w[n + j, v] = 1.0
-    total, assign = max_weight_assignment(w)
-    real_pairs = {}
-    slack_hits = []
-    for u in range(dim):
-        v = int(assign[u])
-        if v >= cols:
-            continue
-        if u < n and w[u, v] == big:
-            real_pairs[v] = u
-        elif n <= u < n + beta and w[u, v] == 1.0:
-            slack_hits.append((u - n, v))
-    if len(real_pairs) != m_size:
+    n_d = n - m.size
+    # slack out-copy n + j for root SCC roots[j], with arcs to its members
+    slack = np.full(scc.n_components, -1, dtype=np.intp)
+    slack[roots] = np.arange(beta)
+    slack_of = slack[np.asarray(scc.component_of, dtype=np.intp)]
+    in_root = np.flatnonzero(slack_of >= 0)
+    combined = DiGraph._of(n + beta,
+                           np.concatenate([g.src, n + slack_of[in_root]]),
+                           np.concatenate([g.dst, in_root]))
+    pair_l = m.pair_left.tolist() + [-1] * beta
+    pair_r = m.pair_right.tolist() + [-1] * beta
+    _augment(combined, pair_l, pair_r)
+    partner = np.array(pair_r[:n], dtype=np.intp)
+    real = (partner >= 0) & (partner < n)
+    if np.count_nonzero(real) != m.size:
         raise InvariantViolation(
-            f"weighted assignment matched {len(real_pairs)} edges, "
-            f"maximum matching has {m_size}")
-    alpha = len(slack_hits)
-    drivers = sorted(v for v in range(n) if v not in real_pairs)
-    hit_roots = {roots[j] for j, _ in slack_hits}
-    extra = [scc.components[c][0] for c in roots if c not in hit_roots]
-    actuators = sorted(set(drivers) | set(extra))
+            f"augmented matching kept {np.count_nonzero(real)} real edges, "
+            f"maximum matching has {m.size}")
+    missed = [scc.components[c][0] for c, v in zip(roots, pair_l[n:])
+              if v < 0]
+    alpha = beta - len(missed)
+    actuators = sorted(np.flatnonzero(~real).tolist() + missed)
     return ActuatorReport(n_d + beta - alpha, actuators, n_d, beta, alpha)
 
 

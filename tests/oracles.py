@@ -135,6 +135,44 @@ def longest_path_layers(n, pairs, source):
     return depth(source)
 
 
+def control_centrality_reference(n, pairs, controlled):
+    """Generic dimension of the subspace controllable from `controlled`,
+    as a dense square cycle cover of the accessible part.
+
+    The accessible nodes come from a breadth-first search.  The cover
+    runs over the accessible states plus one input vertex per controlled
+    node: a link or an input link weighs 1, and weight-0 self-loops
+    wherever missing plus weight-0 return arcs from every state to every
+    input close the cover.  Every other pair is forbidden.
+    """
+    from scipy.optimize import linear_sum_assignment
+
+    adj = [[] for _ in range(n)]
+    for s, d in pairs:
+        adj[s].append(d)
+    reach = set(controlled)
+    frontier = list(reach)
+    while frontier:
+        for d in adj[frontier.pop()]:
+            if d not in reach:
+                reach.add(d)
+                frontier.append(d)
+    index = {v: i for i, v in enumerate(sorted(reach))}
+    k = len(index)
+    inputs = sorted(set(controlled))
+    size = k + len(inputs)
+    w = np.full((size, size), -float(size + 1))
+    np.fill_diagonal(w, 0.0)
+    w[:k, k:] = 0.0
+    for s, d in pairs:
+        if s in index and d in index:
+            w[index[s], index[d]] = 1.0
+    for j, v in enumerate(inputs):
+        w[k + j, index[v]] = 1.0
+    rows, cols = linear_sum_assignment(w, maximize=True)
+    return int(round(w[rows, cols].sum()))
+
+
 def henon_lyapunov(p, b, n_iter=30000, n_skip=500, x0=(0.1, 0.1)):
     """Largest Lyapunov exponent of the quadratic map pair by tangent-vector
     iteration with per-step renormalization."""
@@ -297,7 +335,7 @@ def parse_edge_list_reference(text, directed=True):
     """Line-by-line edge-list reader.  Returns (labels, edges): edges are
     (src, dst, weight) triples, or (min, max) pairs when undirected.
     Raises ParseError / DuplicateEdge with the 1-based line number of the
-    first bad line, and ValueError for an undirected self-pair."""
+    first bad line; an undirected self-pair is a ParseError."""
     from netctl.errors import DuplicateEdge, ParseError
 
     labels = {}
@@ -326,6 +364,9 @@ def parse_edge_list_reference(text, directed=True):
                 raise ParseError(line_no, f"bad weight {parts[2]!r}") from None
         else:
             w = 1.0
+        if not directed and src == dst:
+            raise ParseError(line_no, f"self-pair {parts[0]!r} in an "
+                                      f"undirected graph")
         key = (src, dst) if directed else (min(src, dst), max(src, dst))
         if key in seen:
             raise DuplicateEdge(line_no, parts[0], parts[1])
@@ -333,7 +374,4 @@ def parse_edge_list_reference(text, directed=True):
         edges.append((src, dst, w))
     if directed:
         return order, edges
-    for s, d, _ in edges:
-        if s == d:
-            raise ValueError(f"self-pair ({s},{d})")
     return order, [(min(s, d), max(s, d)) for s, d, _ in edges]

@@ -136,6 +136,16 @@ class TestTypedErrors:
         run_error(capsys, ["drivers", "--input", str(tmp_path / "none")],
                   "InputError")
 
+    def test_non_utf8_input(self, tmp_path, capsys):
+        raw = tmp_path / "raw.edges"
+        raw.write_bytes(b"\xff\xfe")
+        run_error(capsys, ["drivers", "--input", str(raw)], "InputError")
+
+    def test_undirected_self_pair(self, tmp_path, capsys):
+        loop = tmp_path / "loop.edges"
+        loop.write_text("a a\na b\n")
+        run_error(capsys, ["mds", "--input", str(loop)], "ParseError")
+
     def test_empty_edge_list(self, tmp_path, capsys):
         empty = tmp_path / "empty.edges"
         empty.write_text("# no edges\n")

@@ -13,7 +13,6 @@ from netctl.graphs import (
     UnGraph,
     any_maximum_matching,
     directed_core,
-    max_weight_cycle_partition,
     maximum_matching,
     parse_edge_list,
     reachable_from,
@@ -22,6 +21,7 @@ from netctl.graphs import (
     weakly_connected_components,
 )
 from netctl.generators import er_digraph
+from netctl.structural import control_centrality
 from oracles import (
     hopcroft_karp_reference,
     longest_path_layers,
@@ -390,23 +390,24 @@ class TestAgainstNetworkx:
 
 
 class TestCyclePartition:
+    """Control centrality is the weight of a maximum-weight cycle
+    partition of the graph augmented by the inputs."""
+
     def test_chain_from_input(self):
         # u -> x1 -> x2 -> x3: weight equals the layer index of x1
         g = digraph(3, [(0, 1), (1, 2)])
-        w, _ = max_weight_cycle_partition(g, [0])
-        assert w == 3
+        assert control_centrality(g, [0]) == 3
 
     def test_isolated_node_single_input(self):
         g = digraph(1, [])
-        w, _ = max_weight_cycle_partition(g, [0])
-        assert w == 1
+        assert control_centrality(g, [0]) == 1
 
     def test_stem_plus_cycle(self):
         # x1 -> x2, x2 <-> x3, x4 unreachable: dimension 3 from x1
         g = digraph(4, [(0, 1), (1, 2), (2, 1), (3, 0)])
         sub = digraph(3, [(0, 1), (1, 2), (2, 1)])
-        w, _ = max_weight_cycle_partition(sub, [0])
-        assert w == 3
+        assert control_centrality(g, [0]) == 3
+        assert control_centrality(sub, [0]) == 3
 
     def test_all_inputs_equals_n(self):
         rng = random.Random(3)
@@ -416,8 +417,7 @@ class TestCyclePartition:
                 {(rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)}
             )
             g = digraph(n, pairs)
-            w, _ = max_weight_cycle_partition(g, range(n))
-            assert w == n
+            assert control_centrality(g, range(n)) == n
 
     def test_dag_single_input_layer_index(self):
         rng = random.Random(11)
@@ -449,8 +449,9 @@ class TestCyclePartition:
                 if s in reach and d in reach
             ]
             sub = digraph(len(keep), sub_pairs)
-            w, _ = max_weight_cycle_partition(sub, [remap[0]])
-            assert w == longest_path_layers(len(keep), sub_pairs, remap[0])
+            want = longest_path_layers(len(keep), sub_pairs, remap[0])
+            assert control_centrality(sub, [remap[0]]) == want
+            assert control_centrality(digraph(n, pairs), [0]) == want
 
 
 class TestDirectedCore:

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netctl.errors import EmptyDriverSet, InvariantViolation
-from netctl.graphs import DiGraph, scc_decompose, transpose
+from netctl.generators import er_digraph
+from netctl.graphs import DiGraph, reachable_from, scc_decompose, transpose
 from netctl.structural import (
     CRITICAL,
     INTERMITTENT,
@@ -23,7 +24,11 @@ from netctl.structural import (
     structural_controllability_check,
     switchboard_drivers,
 )
-from oracles import generic_min_drivers, maximum_matchings
+from oracles import (
+    control_centrality_reference,
+    generic_min_drivers,
+    maximum_matchings,
+)
 
 
 def digraph(n, pairs):
@@ -331,6 +336,34 @@ class TestControlCentrality:
                 assert cur >= prev
                 prev = cur
 
+    def test_matches_dense_cycle_cover(self):
+        rng = random.Random(67)
+        partly_accessible = 0
+        for _ in range(1200):
+            n = rng.randint(1, 11)
+            g = random_digraph(rng, n, rng.choice([0.08, 0.15, 0.3]))
+            controlled = rng.sample(range(n), rng.randint(1, min(n, 3)))
+            pairs = [(s, d) for s, d, _ in g.edges]
+            assert control_centrality(g, controlled) == \
+                control_centrality_reference(n, pairs, controlled), \
+                (pairs, controlled)
+            partly_accessible += len(reachable_from(g, controlled)) < n
+        assert partly_accessible >= 300
+
+    def test_er_one_node_at_scale(self):
+        # a dense cycle cover of this graph would take about 3.2 GB
+        g = er_digraph(20_000, 6.0, np.random.default_rng(71))
+        accessible = reachable_from(g, [0])
+        keep = np.zeros(g.n_nodes, dtype=bool)
+        keep[list(accessible)] = True
+        c = control_centrality(g, [0])
+        assert 1 <= c <= len(accessible)
+        # Lin: the accessible part is structurally controllable from node 0
+        # iff the whole of it is controllable
+        ok, _ = structural_controllability_check(g.subgraph(keep), [0])
+        assert ok == (c == len(accessible))
+        assert control_centrality(g, min_actuators(g).actuators) == g.n_nodes
+
 
 def oracle_alpha(g):
     """Maximum number of root SCCs holding an unmatched node, over all
@@ -379,14 +412,33 @@ class TestMinActuators:
             assert r.n_actuators == nd + beta - alpha
             assert len(r.actuators) == r.n_actuators
 
+    def test_canonical_drivers_not_kept(self):
+        # the canonical drivers {3, 4} leave node 2 inaccessible
+        g = digraph(5, [(0, 1), (2, 2), (2, 3), (3, 0)])
+        assert min_driver_set(g).drivers == [3, 4]
+        r = min_actuators(g)
+        assert r.actuators == [2, 4]
+        assert structural_controllability_check(g, r.actuators)[0]
+
     def test_lost_cardinality_raises(self, monkeypatch):
         import netctl.structural as structural
 
-        # an assignment that leaves every real in-copy unmatched
-        monkeypatch.setattr(structural, "max_weight_assignment",
-                            lambda w: (0.0, np.full(len(w), len(w))))
+        def unmatch_all(g, pair_l, pair_r):
+            # an augmentation that leaves every real in-copy unmatched
+            pair_l[:] = [-1] * len(pair_l)
+            pair_r[:] = [-1] * len(pair_r)
+
+        monkeypatch.setattr(structural, "_augment", unmatch_all)
         with pytest.raises(InvariantViolation):
             min_actuators(PATH3)
+
+    def test_er_at_scale(self):
+        # a dense (n + beta)^2 assignment here would need about 20 GiB
+        g = er_digraph(50_000, 6.0, np.random.default_rng(73))
+        r = min_actuators(g)
+        assert len(r.actuators) == r.n_actuators
+        assert structural_controllability_check(g, r.actuators) == \
+            (True, None)
 
     def test_bounds(self):
         rng = random.Random(59)

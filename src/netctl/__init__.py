@@ -11,6 +11,9 @@ Submodules:
   steering      nonlinear steering: entrainment, chaos control, FVS clamping
   collective    synchronizability, pinning control, flocking
   cli           command-line front end
+
+No module imports scipy at load time: each function imports the scipy
+subpackage it calls, so a `netctl` run loads only what its kernel needs.
 """
 
 __version__ = "0.1.0"

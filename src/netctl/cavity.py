@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantViolation, NonConvergence
+from .errors import InvalidArgument, InvariantViolation, NonConvergence
 
 
 class PoissonDist:
@@ -23,7 +23,7 @@ class PoissonDist:
 
     def __init__(self, mean: float):
         if mean < 0:
-            raise ValueError("mean must be nonnegative")
+            raise InvalidArgument("mean must be nonnegative")
         self.mean = float(mean)
 
     def pmf(self, k: int) -> float:
@@ -49,9 +49,9 @@ class SFStaticDist:
 
     def __init__(self, mean: float, gamma: float, n_points: int = 400):
         if gamma <= 2:
-            raise ValueError("gamma must exceed 2")
+            raise InvalidArgument("gamma must exceed 2")
         if mean <= 0:
-            raise ValueError("mean must be positive")
+            raise InvalidArgument("mean must be positive")
         self.mean = float(mean)
         self.gamma = float(gamma)
         a = 1.0 / (gamma - 1.0)
@@ -154,7 +154,7 @@ def solve_cavity(
     stays above tol after max_iter sweeps.
     """
     if z <= 0:
-        raise ValueError("mean degree must be positive")
+        raise InvalidArgument("mean degree must be positive")
     g, h = dist_out.g, dist_out.h
     g_hat, h_hat = dist_in.g, dist_in.h
     # The submanifold {w2 = 1 - w1_hat, w2_hat = 1 - w1} is invariant under

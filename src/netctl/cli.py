@@ -7,12 +7,7 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import cavity, collective, energy, exact, observability, steering, \
-    structural
-from .errors import InputError, NetctlError, UnknownNode
-from .graphs import parse_edge_list
+from .errors import InputError, InvalidArgument, NetctlError, UnknownNode
 
 SCHEMA = "netctl/1"
 
@@ -34,6 +29,8 @@ def _read_text(path):
 
 
 def _read_graph(path, directed):
+    from .graphs import parse_edge_list
+
     g = parse_edge_list(_read_text(path), directed=directed)
     if g.n_nodes == 0:
         raise InputError(f"{path} holds no edges")
@@ -49,6 +46,8 @@ def _read_ungraph(path):
 
 
 def _read_matrix(path):
+    import numpy as np
+
     try:
         return np.loadtxt(path, ndmin=2)
     except OSError as exc:
@@ -59,6 +58,8 @@ def _read_matrix(path):
 
 
 def _read_vector(text):
+    import numpy as np
+
     try:
         return np.array([float(v) for v in text.split(",")])
     except ValueError:
@@ -92,10 +93,14 @@ def _indices(g, text):
 
 
 # ---------------------------------------------------------------------------
-# Handlers (one per subcommand; each returns a JSON-ready payload)
+# Handlers (one per subcommand; each returns a JSON-ready payload).  Each
+# imports the analysis module it calls, so a run loads only what it uses
+# and `--help` loads neither numpy nor scipy.
 
 
 def cmd_drivers(args):
+    from . import structural
+
     g = _read_digraph(args.input)
     rep = structural.min_driver_set(g)
     return {"n_drivers": rep.n_drivers, "n_d": rep.n_drivers / g.n_nodes,
@@ -103,6 +108,8 @@ def cmd_drivers(args):
 
 
 def cmd_check(args):
+    from . import structural
+
     g = _read_digraph(args.input)
     ok, witness = structural.structural_controllability_check(
         g, _indices(g, args.drivers))
@@ -110,12 +117,16 @@ def cmd_check(args):
 
 
 def cmd_classify_links(args):
+    from . import structural
+
     g = _read_digraph(args.input)
     cls = structural.classify_links(g)
     return dict(cls.fractions)
 
 
 def cmd_classify_nodes(args):
+    from . import structural
+
     g = _read_digraph(args.input)
     cls = structural.classify_nodes_deletion(g) if args.deletion \
         else structural.classify_nodes(g)
@@ -123,6 +134,8 @@ def cmd_classify_nodes(args):
 
 
 def cmd_profile(args):
+    from . import structural
+
     g = _read_digraph(args.input)
     p = structural.control_profile(g)
     eta_s, eta_e, eta_i = p.eta
@@ -131,6 +144,8 @@ def cmd_profile(args):
 
 
 def cmd_centrality(args):
+    from . import structural
+
     g = _read_digraph(args.input)
     nodes = _indices(g, args.nodes)
     return {"nodes": _labels(g, nodes),
@@ -138,6 +153,8 @@ def cmd_centrality(args):
 
 
 def cmd_actuators(args):
+    from . import structural
+
     g = _read_digraph(args.input)
     rep = structural.min_actuators(g)
     return {"n_drivers": rep.n_drivers, "beta": rep.beta, "alpha": rep.alpha,
@@ -146,12 +163,16 @@ def cmd_actuators(args):
 
 
 def cmd_switchboard(args):
+    from . import structural
+
     g = _read_digraph(args.input)
     drivers = structural.switchboard_drivers(g)
     return {"n_drivers": len(drivers), "drivers": _labels(g, drivers)}
 
 
 def cmd_cavity(args):
+    from . import cavity
+
     if args.dist == "er":
         n_d, _ = cavity.solve_cavity_er(args.kmean)
     else:
@@ -160,6 +181,8 @@ def cmd_cavity(args):
 
 
 def cmd_exact_nd(args):
+    from . import exact
+
     a = _read_matrix(args.a)
     n_d, lam, drivers = exact.pbh_min_drivers(a)
     return {"n_drivers": n_d, "eigenvalue": complex(lam).real,
@@ -167,6 +190,8 @@ def cmd_exact_nd(args):
 
 
 def cmd_energy(args):
+    from . import energy, exact
+
     sys_ = exact.DenseSystem(_read_matrix(args.a), _read_matrix(args.b))
     if args.x0 is not None and args.xf is not None:
         trace = energy.min_energy_input(sys_, _read_vector(args.x0),
@@ -177,6 +202,8 @@ def cmd_energy(args):
 
 
 def cmd_spectrum(args):
+    from . import energy, exact
+
     sys_ = exact.DenseSystem(_read_matrix(args.a), _read_matrix(args.b))
     energies, _ = energy.energy_spectrum(sys_, args.t)
     return {"t_final": args.t,
@@ -185,6 +212,8 @@ def cmd_spectrum(args):
 
 
 def cmd_sensors(args):
+    from . import observability
+
     rs = observability.parse_reactions(_read_text(args.reactions))
     g = observability.inference_diagram(rs)
     rep = observability.min_sensors(g)
@@ -195,6 +224,8 @@ def cmd_sensors(args):
 
 
 def cmd_target_sensor(args):
+    from . import observability
+
     rs = observability.parse_reactions(_read_text(args.reactions))
     g = observability.inference_diagram(rs)
     sensor, cost = observability.target_sensor(g, _indices(g, args.targets))
@@ -202,6 +233,8 @@ def cmd_target_sensor(args):
 
 
 def cmd_mds(args):
+    from . import observability
+
     g = _read_ungraph(args.input)
     nodes, exact_flag = observability.mds_solve(g)
     return {"size": len(nodes), "nodes": _labels(g, nodes),
@@ -209,6 +242,10 @@ def cmd_mds(args):
 
 
 def cmd_obs_transition(args):
+    import numpy as np
+
+    from . import observability
+
     g = _read_ungraph(args.input)
     rng = np.random.default_rng(args.seed)
     frac = observability.observability_transition(g, args.phi, args.trials,
@@ -217,6 +254,10 @@ def cmd_obs_transition(args):
 
 
 def cmd_observer(args):
+    import numpy as np
+
+    from . import exact, observability
+
     sys_ = exact.DenseSystem(_read_matrix(args.a),
                              np.zeros((_read_matrix(args.a).shape[0], 1)),
                              _read_matrix(args.c))
@@ -229,6 +270,10 @@ def cmd_observer(args):
 
 
 def cmd_hubler(args):
+    import numpy as np
+
+    from . import steering
+
     a = _read_matrix(args.a)
     sys_ = steering.OdeSystem(n=a.shape[0],
                               f=lambda t, x, u: a @ np.asarray(x) + u)
@@ -244,6 +289,10 @@ def cmd_hubler(args):
 
 
 def cmd_ogy(args):
+    import numpy as np
+
+    from . import steering
+
     hp = steering.HenonParams(delta=args.delta)
     trace = steering.ogy_stabilize_henon(hp, n_steps=args.steps,
                                          seed=args.seed)
@@ -255,6 +304,8 @@ def cmd_ogy(args):
 
 
 def cmd_pyragas(args):
+    from . import steering
+
     sys_ = steering.make_system("rossler")
     trace = steering.pyragas_feedback(sys_, 1, [0.0, -args.k, 0.0],
                                       args.tau, args.t, [1.0, 1.0, 0.0])
@@ -262,6 +313,8 @@ def cmd_pyragas(args):
 
 
 def cmd_compensate(args):
+    from . import steering
+
     sys_ = steering.make_system(args.system)
     bounds = None
     if args.lo is not None and args.hi is not None:
@@ -273,6 +326,8 @@ def cmd_compensate(args):
 
 
 def cmd_fvs(args):
+    from . import steering
+
     g = _read_digraph(args.input)
     res = steering.fvs_find(g, args.mode)
     return {"size": len(res.nodes), "nodes": _labels(g, res.nodes),
@@ -280,6 +335,12 @@ def cmd_fvs(args):
 
 
 def cmd_clamp(args):
+    import numpy as np
+
+    from . import steering
+
+    if args.t < 0:
+        raise InvalidArgument("horizon must not be negative")
     sys_ = steering.make_system("bistable-gene")
     s1, s3 = steering.gene_toggle_attractors()
     times = np.linspace(0.0, args.t, int(20 * args.t) + 1)
@@ -290,12 +351,18 @@ def cmd_clamp(args):
 
 
 def cmd_msf(args):
+    from . import collective
+
     g = _read_ungraph(args.input)
     lam2, lam_n, r = collective.msf_eigenratio(g)
     return {"lambda2": lam2, "lambda_n": lam_n, "eigenratio": r}
 
 
 def cmd_pinning(args):
+    import numpy as np
+
+    from . import collective
+
     g = _read_ungraph(args.input)
     lap = collective.laplacian_matrix(g)
     n = g.n_nodes
@@ -304,6 +371,9 @@ def cmd_pinning(args):
         deg = np.diag(lap)
         pinned = list(np.argsort(-deg)[:k])
     else:
+        if k > n:
+            raise InvalidArgument("random pinning needs a fraction of at "
+                                  "most 1")
         rng = np.random.default_rng(args.seed)
         pinned = list(rng.choice(n, k, replace=False))
     cfg = collective.PinningConfig(args.sigma, args.kappa, pinned, lap)
@@ -313,6 +383,12 @@ def cmd_pinning(args):
 
 
 def cmd_pinning_sim(args):
+    import numpy as np
+
+    from . import collective, steering
+
+    if args.nodes < 3:
+        raise InvalidArgument("a ring needs at least 3 nodes")
     osc = steering.make_system("rossler")
     g = collective.laplacian_matrix(
         collective.UnGraph(args.nodes, [(i, (i + 1) % args.nodes)
@@ -329,12 +405,18 @@ def cmd_pinning_sim(args):
 
 
 def _vicsek_one(params):
+    from . import collective
+
     n, l, v0, r, eta, steps, seed = params
     res = collective.vicsek_order_parameter(n, l, v0, r, eta, steps, seed)
     return {"seed": seed, "phi_mean": res.mean, "phi_stderr": res.stderr}
 
 
 def cmd_vicsek(args):
+    import numpy as np
+
+    if args.seeds < 1:
+        raise InvalidArgument("need at least one seed")
     jobs = [(args.n, args.l, args.v0, args.r, args.eta, args.steps, s)
             for s in range(args.seed, args.seed + args.seeds)]
     if args.jobs > 1:
@@ -351,6 +433,8 @@ def cmd_vicsek(args):
 
 
 def cmd_vicsek_leader(args):
+    from . import collective
+
     dev = collective.vicsek_leader_run(args.n, args.l, args.v0, args.r,
                                        theta0=args.theta0, steps=args.steps,
                                        seed=args.seed, eta=args.eta)

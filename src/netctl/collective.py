@@ -4,9 +4,8 @@ reference trajectory, and flocking with and without a leader."""
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from .errors import DisconnectedGraph, NoPinnedNodes
+from .errors import DisconnectedGraph, InvalidArgument, NoPinnedNodes
 from .graphs import UnGraph
 
 
@@ -37,7 +36,7 @@ class PinningConfig:
         if np.abs(self.coupling.sum(axis=1)).max() > 1e-12:
             raise ValueError("coupling matrix must have zero row sums")
         if any(self.kappa[i] <= 0 for i in self.pinned):
-            raise ValueError("pinned nodes need positive gains")
+            raise InvalidArgument("pinned nodes need positive gains")
 
     @property
     def n_nodes(self):
@@ -179,6 +178,8 @@ def vicsek_init(n, l, v0, r, eta, seed=0):
 
 def _neighbor_lists(pos, r, l):
     if r < l / 2:
+        from scipy.spatial import cKDTree
+
         tree = cKDTree(np.mod(pos, l), boxsize=l)
         return tree.query_pairs(r, output_type="ndarray")
     # periodic tree search is limited to half the box; fall back to direct
@@ -230,6 +231,10 @@ class VicsekResult:
 
 def vicsek_order_parameter(n, l, v0, r, eta, steps, seed=0,
                            transient=None) -> VicsekResult:
+    if n < 1:
+        raise InvalidArgument("need at least one agent")
+    if steps < 1:
+        raise InvalidArgument("need at least one step")
     if transient is None:
         transient = steps // 2
     state = vicsek_init(n, l, v0, r, eta, seed)
@@ -249,6 +254,8 @@ def vicsek_leader_run(n, l, v0, r, theta0, steps, seed=0, eta=0.0):
     θ₀: followers average raw heading values (no angle wrap) over their
     neighborhood, weighting the leader like an extra neighbor.  Returns
     the trace of max_i |θ_i − θ₀|."""
+    if n < 1:
+        raise InvalidArgument("need at least one follower")
     rng = _step_rng(seed, 0)
     pos = rng.uniform(0.0, l, (n, 2))
     theta = rng.uniform(-np.pi, np.pi, n)

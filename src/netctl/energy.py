@@ -6,9 +6,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .errors import IllConditionedWarning, SingularGramian
+from .errors import IllConditionedWarning, InvalidArgument, SingularGramian
 from .exact import DenseSystem
 
 _SINGULAR_ETA = 1e-12
@@ -43,8 +42,10 @@ def gramian(sys: DenseSystem, t_final: float) -> GramianResult:
     Evaluated through the augmented matrix exponential
     exp([[-A, BBᵀ], [0, Aᵀ]] T): the integral equals F22ᵀ F12.
     """
+    from scipy.linalg import expm
+
     if t_final <= 0:
-        raise ValueError("horizon must be positive")
+        raise InvalidArgument("horizon must be positive")
     a, b = sys.a, sys.b
     n = sys.n
     # the augmented exponential contains e^{-At}, which loses accuracy for
@@ -95,6 +96,8 @@ def min_energy_input(
     z' = [[A, BBᵀ], [0, -Aᵀ]] z for z = [x; p], so one exponential of
     the grid step propagates both exactly from grid point to grid point.
     """
+    from scipy.linalg import expm
+
     x_i = np.asarray(x_i, dtype=float)
     x_f = np.asarray(x_f, dtype=float)
     if x_i.shape != (sys.n,) or x_f.shape != (sys.n,):

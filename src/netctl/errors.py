@@ -65,6 +65,10 @@ class NonFiniteInput(NetctlError, ValueError):
     """A matrix or vector holds NaN or an infinite entry."""
 
 
+class InvalidArgument(NetctlError, ValueError):
+    """A numeric parameter lies outside the range the analysis accepts."""
+
+
 class SingularGramian(NetctlError):
     pass
 

@@ -13,13 +13,6 @@ from dataclasses import dataclass
 from itertools import count
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import (
-    breadth_first_order,
-    connected_components,
-    dijkstra,
-    maximum_bipartite_matching,
-)
 
 from .errors import DuplicateEdge, InvariantViolation, ParseError
 
@@ -390,6 +383,8 @@ def _augment(g: DiGraph, pair_l, pair_r):
     reach a free in-copy along it, and augments by depth-first search
     along the layering, in Python.
     """
+    from scipy.sparse.csgraph import dijkstra
+
     n = g.n_nodes
     indptr_a, heads_a = g.sorted_heads()
     indptr = indptr_a.tolist()
@@ -486,6 +481,9 @@ def any_maximum_matching(g: DiGraph) -> Matching:
     depends only on the matching's size or holds for every maximum
     matching, and `maximum_matching` where the matching itself is
     reported."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     indptr, heads = g.sorted_heads()
     out_adjacency = csr_matrix((np.ones(len(heads), dtype=np.int8), heads,
                                 indptr), shape=(g.n_nodes, g.n_nodes))
@@ -499,6 +497,8 @@ def any_maximum_matching(g: DiGraph) -> Matching:
 
 
 def _csgraph(n, src, dst):
+    from scipy.sparse import csr_matrix
+
     return csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
 
 
@@ -506,6 +506,8 @@ def component_ids(n, src, dst, connection="strong"):
     """Strong or weak component of each of n nodes under the arcs
     src[i] -> dst[i], as an int array; components are numbered in order of
     their smallest member."""
+    from scipy.sparse.csgraph import connected_components
+
     _, labels = connected_components(_csgraph(n, src, dst), directed=True,
                                      connection=connection)
     _, first = np.unique(labels, return_index=True)
@@ -523,6 +525,8 @@ def group_by_component(ids):
 def reach_mask(n, src, dst, sources):
     """Boolean mask of the nodes reachable from any of `sources` (sources
     included) under the arcs src[i] -> dst[i]."""
+    from scipy.sparse.csgraph import breadth_first_order
+
     sources = np.asarray(sources, dtype=np.intp)
     # breadth-first search from a virtual root n with one arc into each source
     graph = _csgraph(n + 1, np.concatenate([src, np.full(len(sources), n)]),

@@ -8,10 +8,13 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.sparse import csr_matrix
 
-from .errors import DimensionMismatch, NoPathToTarget, ParseError
+from .errors import (
+    DimensionMismatch,
+    InvalidArgument,
+    NoPathToTarget,
+    ParseError,
+)
 from .graphs import (
     DiGraph,
     UnGraph,
@@ -288,8 +291,12 @@ def observability_transition(
     """Mean fraction of nodes in the largest connected observed component
     when floor(phi N) monitors are placed uniformly at random (a monitor
     observes itself and its neighbors)."""
+    from scipy.sparse import csr_matrix
+
     if not 0.0 <= phi <= 1.0:
-        raise ValueError("phi must lie in [0, 1]")
+        raise InvalidArgument("phi must lie in [0, 1]")
+    if trials < 1:
+        raise InvalidArgument("trials must be at least 1")
     n = g.n_nodes
     k = int(phi * n)
     rows = np.concatenate([g.u, g.v])
@@ -316,6 +323,8 @@ def observability_transition(
 def luenberger_observe(sys, l_gain, x0, z0, t_final: float, n_steps: int = 200):
     """Co-simulate plant and observer; the observer corrects its copy of
     the dynamics with the output mismatch.  Returns (t, ||x - z||)."""
+    from scipy.linalg import expm
+
     if sys.c is None:
         raise DimensionMismatch("system needs an output matrix C")
     a, c = sys.a, sys.c

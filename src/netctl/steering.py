@@ -7,12 +7,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import lsq_linear
 
 from .errors import (
     DimensionMismatch,
     InfeasibleConstraints,
+    InvalidArgument,
     InvariantViolation,
     MissingTrajectory,
     NoCapture,
@@ -58,7 +57,7 @@ class HenonParams:
 
     def __post_init__(self):
         if self.delta <= 0:
-            raise ValueError("activation radius must be positive")
+            raise InvalidArgument("activation radius must be positive")
 
 
 @dataclass
@@ -86,6 +85,10 @@ class FvsResult:
 def hubler_input(sys, b, goal, goal_dot, t_final, x0=None, n_steps=400):
     """Drive ẋ = F(x) + B u onto the goal trajectory with the open-loop
     input u(t) = B⁻¹ [ġ(t) − F(g(t))]."""
+    from scipy.integrate import solve_ivp
+
+    if t_final == 0:
+        raise InvalidArgument("horizon must be nonzero")
     b = np.asarray(b, dtype=float)
     if b.shape != (sys.n, sys.n):
         raise DimensionMismatch(f"B must be {sys.n}x{sys.n}")
@@ -202,7 +205,7 @@ def pyragas_feedback(sys, output, k_gain, tau, t_final, x0, dt=0.02):
     RK4, interpolating the delayed output from the stored history.  The
     history over [−τ, 0] is the uncontrolled flow started at x0."""
     if tau <= 0:
-        raise ValueError("delay must be positive")
+        raise InvalidArgument("delay must be positive")
     k_gain = np.atleast_1d(np.asarray(k_gain, dtype=float))
     if callable(output):
         y_of = output
@@ -261,6 +264,8 @@ def close_return_period(sys, x0, t_transient, t_max, dt=0.01, t_min=1.0,
     with the smallest return distance for lags in [t_min, t_max].  A point
     shadowing the orbit returns almost exactly after one period.  Returns
     (period, return_distance)."""
+    from scipy.integrate import solve_ivp
+
     zero_u = np.zeros(sys.n)
     rhs = lambda t, x: np.asarray(sys.f(t, x, zero_u), dtype=float)
     ref = solve_ivp(rhs, (0.0, t_transient), np.asarray(x0, dtype=float),
@@ -297,6 +302,9 @@ def compensatory_perturbation(sys, x0, x_target, control_set=None,
     """Nudge the initial state into the target basin by repeated small
     corrections along the linearized flow evaluated at the orbit's closest
     approach to the target.  Returns (new_x0, iterations_used)."""
+    from scipy.integrate import solve_ivp
+    from scipy.optimize import lsq_linear
+
     x0 = np.asarray(x0, dtype=float).copy()
     x_target = np.asarray(x_target, dtype=float)
     if control_set is None:
@@ -344,6 +352,8 @@ def compensatory_perturbation(sys, x0, x_target, control_set=None,
 
 def _flow_matrix(sys, x0, t_c):
     """Variational matrix M(t_c) = ∂x(t_c)/∂x(0) along the free orbit."""
+    from scipy.integrate import solve_ivp
+
     n = sys.n
     if t_c == 0.0:
         return np.eye(n)
@@ -395,7 +405,7 @@ def fvs_find(g: DiGraph, mode="heuristic") -> FvsResult:
     high-traffic nodes, then restores any node not actually needed."""
     if mode == "exact":
         if g.n_nodes > 15:
-            raise ValueError("exact mode limited to 15 nodes")
+            raise InvalidArgument("exact mode limited to 15 nodes")
         for size in range(g.n_nodes + 1):
             for combo in itertools.combinations(range(g.n_nodes), size):
                 order = _topo_order(g, set(combo))

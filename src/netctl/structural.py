@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .errors import EmptyDriverSet, InvariantViolation
 from .graphs import (
@@ -239,6 +237,9 @@ def control_centrality(g: DiGraph, controlled) -> int:
     are those a square cycle cover would close with weightless return
     arcs, which thus need no entries.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
     controlled = sorted(set(controlled))
     if not controlled:
         raise EmptyDriverSet("controlled set must be nonempty")

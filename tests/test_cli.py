@@ -1,8 +1,14 @@
+import contextlib
 import csv
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netctl import cli
 from netctl.exact import chain_matrix
@@ -46,11 +52,18 @@ def files(tmp_path):
     }
 
 
+def strict_json(text):
+    """json.loads that rejects NaN and Infinity, which RFC 8259 JSON lacks."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
 def run_json(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
     assert code == 0
-    doc = json.loads(out)
+    doc = strict_json(out)
     assert doc["schema"] == "netctl/1"
     return doc
 
@@ -172,6 +185,105 @@ class TestTypedErrors:
     def test_unknown_toy_system(self, capsys):
         run_error(capsys, ["compensate", "--system", "foo", "--x0", "1",
                            "--target", "0"], "UnknownSystem")
+
+    @pytest.mark.parametrize("argv", [
+        ["obs-transition", "--input", "{un}", "--phi", "2"],
+        ["obs-transition", "--input", "{un}", "--phi", "0.5",
+         "--trials", "0"],
+        ["pinning", "--input", "{un}", "--kappa", "0"],
+        ["pinning", "--input", "{un}", "--fraction", "2"],
+        ["cavity", "--dist", "er", "--kmean", "-1"],
+        ["cavity", "--dist", "er", "--kmean", "0"],
+        ["cavity", "--dist", "sf-static", "--kmean", "0"],
+        ["cavity", "--dist", "sf-static", "--kmean", "4", "--gamma", "1.5"],
+        ["energy", "--a", "{a}", "--b", "{b}", "--t", "0"],
+        ["spectrum", "--a", "{a}", "--b", "{b}", "--t", "-1"],
+        ["pyragas", "--tau", "0"],
+        ["hubler", "--a", "{a2}", "--t", "0"],
+        ["clamp", "--t", "-1"],
+        ["ogy", "--delta", "0"],
+        ["fvs", "--input", "{long_ring}", "--mode", "exact"],
+        ["pinning-sim", "--nodes", "1"],
+        ["pinning-sim", "--nodes", "2"],
+        ["vicsek-leader", "--n", "0"],
+        ["vicsek", "--n", "0"],
+        ["vicsek", "--steps", "0"],
+        ["vicsek", "--seeds", "0"],
+    ], ids=" ".join)
+    def test_invalid_argument(self, files, tmp_path, capsys, argv):
+        long_ring = tmp_path / "long_ring.edges"
+        long_ring.write_text("".join(f"{i} {(i + 1) % 16}\n"
+                                     for i in range(16)))
+        paths = dict(files, long_ring=str(long_ring))
+        run_error(capsys, [a.format(**paths) for a in argv],
+                  "InvalidArgument")
+
+
+FUZZ_LABEL = st.sampled_from(["a", "b", "c", "d", "0", "1", "2", "-1", "é",
+                              "节点", "x#", "#", "1.5"])
+FUZZ_WEIGHT = st.sampled_from(["1", "-2.5", "0", "1e-300", "٣"])
+FUZZ_BAD_WEIGHT = st.sampled_from(["nan", "inf", "1e309", "x", "--"])
+FUZZ_TOKENS = st.lists(st.one_of(FUZZ_LABEL, st.integers(-2, 15).map(str),
+                                 st.sampled_from(["", " a", "zz"])),
+                       min_size=1, max_size=4).map(",".join)
+
+
+@st.composite
+def fuzz_edge_file(draw):
+    """Bytes of an edge list.  Half the files are well formed (edges,
+    weights, comments, blank lines, non-ASCII labels, possibly none at
+    all); the other half may also hold bad token counts, bad weights,
+    repeated edges, self-pairs and a byte that is not UTF-8."""
+    malformed = draw(st.booleans())
+    kinds = ["edge"] * 6 + ["weighted", "comment", "blank"]
+    if malformed:
+        kinds += ["bad-weight", "short", "long", "loop", "repeat"]
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "repeat":
+            if lines:
+                lines.append(draw(st.sampled_from(lines)))
+            continue
+        src, dst = draw(FUZZ_LABEL), draw(FUZZ_LABEL)
+        lines.append({
+            "edge": f"{src} {dst}",
+            "weighted": f"{src} {dst} {draw(FUZZ_WEIGHT)}",
+            "bad-weight": f"{src} {dst} {draw(FUZZ_BAD_WEIGHT)}",
+            "comment": f"# {src} {dst}",
+            "blank": "",
+            "short": src,
+            "long": f"{src} {dst} 1 {src}",
+            "loop": f"{src}\t{src}",
+        }[kind])
+    data = "\n".join(lines).encode("utf-8")
+    if malformed and draw(st.integers(0, 9)) == 0:
+        data += b"\xff"
+    return data
+
+
+class TestFuzzedInput:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(fuzz_edge_file(), FUZZ_TOKENS,
+           st.sampled_from([["drivers"], ["check", "--drivers={}"],
+                            ["centrality", "--nodes={}"],
+                            ["fvs", "--mode", "exact"], ["fvs"], ["mds"]]))
+    def test_exits_0_or_1_without_traceback(self, data, tokens, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.edges"
+            path.write_bytes(data)
+            argv = [command[0], "--input", str(path)] + \
+                [a.format(tokens) for a in command[1:]]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        if code == 0:
+            assert strict_json(out.getvalue())["command"] == argv[0]
+        else:
+            assert code == 1
+            assert err.getvalue().count("\n") == 1
+            assert "Traceback" not in err.getvalue()
 
 
 class TestStructuralCommands:

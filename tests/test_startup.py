@@ -1,0 +1,102 @@
+"""Start-up cost: which modules a `netctl` process loads.
+
+Every check runs in a fresh interpreter, since this process has long
+since imported numpy and scipy.  None of them measures time.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from netctl import cli
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# prints {"out": stdout of main(ARGV), "code": exit code, "modules": [...]}
+PROBE = """
+import contextlib, io, json, sys
+from netctl.cli import main
+out = io.StringIO()
+try:
+    with contextlib.redirect_stdout(out):
+        code = main(ARGV)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"out": out.getvalue(), "code": code,
+                  "modules": sorted(sys.modules)}))
+"""
+
+
+def fresh(code):
+    """Run `code` in a new interpreter that sees only this source tree."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                           text=True, env=env, timeout=120)
+    assert child.returncode == 0, child.stderr
+    return json.loads(child.stdout)
+
+
+def run_fresh(argv):
+    return fresh(PROBE.replace("ARGV", repr(argv)))
+
+
+def scipy_modules(modules):
+    return [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+
+
+def test_build_parser_loads_neither_numpy_nor_scipy():
+    modules = fresh("import json, sys, netctl.cli; "
+                    "netctl.cli.build_parser(); "
+                    "print(json.dumps(sorted(sys.modules)))")
+    assert "numpy" not in modules
+    assert not scipy_modules(modules)
+
+
+def test_help_loads_neither_numpy_nor_scipy():
+    got = run_fresh(["--help"])
+    assert got["code"] == 0
+    assert "cavity" in got["out"]
+    assert "numpy" not in got["modules"]
+    assert not scipy_modules(got["modules"])
+
+
+def test_no_module_imports_scipy_when_loaded():
+    modules = fresh("import json, pkgutil, importlib, sys, netctl\n"
+                    "for m in pkgutil.iter_modules(netctl.__path__):\n"
+                    "    importlib.import_module('netctl.' + m.name)\n"
+                    "print(json.dumps(sorted(sys.modules)))")
+    assert "netctl.cli" in modules and "netctl.steering" in modules
+    assert not scipy_modules(modules)
+
+
+def test_cavity_runs_without_scipy(capsys):
+    argv = ["cavity", "--dist", "er", "--kmean", "4"]
+    got = run_fresh(argv)
+    assert got["code"] == 0
+    assert not scipy_modules(got["modules"])
+    assert cli.main(argv) == 0
+    assert got["out"] == capsys.readouterr().out
+
+
+def test_exact_nd_runs_without_scipy(tmp_path, capsys):
+    a = tmp_path / "a.mat"
+    np.savetxt(a, np.diag([1.0, 1.0, 2.0]) + np.eye(3, k=1))
+    argv = ["exact-nd", "--a", str(a)]
+    got = run_fresh(argv)
+    assert got["code"] == 0
+    assert not scipy_modules(got["modules"])
+    assert cli.main(argv) == 0
+    assert got["out"] == capsys.readouterr().out
+
+
+def test_drivers_loads_only_csgraph_kernels(tmp_path):
+    edges = tmp_path / "g.edges"
+    edges.write_text("a b\nb c\nc a\nc d\n")
+    got = run_fresh(["drivers", "--input", str(edges)])
+    assert got["code"] == 0
+    assert "scipy.sparse.csgraph" in got["modules"]
+    for unused in ("scipy.integrate", "scipy.optimize", "scipy.spatial"):
+        assert unused not in got["modules"]

@@ -237,6 +237,8 @@ def vicsek_order_parameter(n, l, v0, r, eta, steps, seed=0,
         raise InvalidArgument("need at least one step")
     if transient is None:
         transient = steps // 2
+    if not 0 <= transient < steps:
+        raise InvalidArgument("transient must lie in [0, steps)")
     state = vicsek_init(n, l, v0, r, eta, seed)
     phi = np.empty(steps + 1)
     phi[0] = order_parameter(state)

@@ -14,7 +14,8 @@ from itertools import count
 
 import numpy as np
 
-from .errors import DuplicateEdge, InvariantViolation, ParseError
+from .errors import (DuplicateEdge, InvalidArgument, InvariantViolation,
+                     ParseError)
 
 
 def _first_duplicate(key):
@@ -31,6 +32,14 @@ def _columns(rows, k):
     if not rows:
         return [np.zeros(0, dtype=np.intp)] * k
     return [np.asarray(c) for c in zip(*rows)]
+
+
+def _csr(n, tails, heads):
+    """(indptr, ends): the heads of the arcs out of u, in increasing order,
+    are ends[indptr[u]:indptr[u + 1]]."""
+    indptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
+    return indptr, heads[np.lexsort((heads, tails))]
 
 
 class DiGraph:
@@ -80,10 +89,10 @@ class DiGraph:
         dup = _first_duplicate(src * n + dst) if bad_range is None else \
             _first_duplicate(src[:bad_range] * n + dst[:bad_range])
         if dup is not None:
-            raise ValueError(f"duplicate edge ({src[dup]},{dst[dup]})")
+            raise InvalidArgument(f"duplicate edge ({src[dup]},{dst[dup]})")
         if bad_range is not None:
-            raise ValueError(f"edge ({src[bad_range]},{dst[bad_range]}) "
-                             f"out of range")
+            raise InvalidArgument(f"edge ({src[bad_range]},{dst[bad_range]})"
+                                  f" out of range")
 
     @property
     def labels(self):
@@ -109,10 +118,7 @@ class DiGraph:
         """(indptr, heads): the heads of node u's edges, in increasing
         order, are heads[indptr[u]:indptr[u + 1]]; built once."""
         if self._heads is None:
-            indptr = np.zeros(self.n_nodes + 1, dtype=np.intp)
-            np.cumsum(np.bincount(self.src, minlength=self.n_nodes),
-                      out=indptr[1:])
-            self._heads = indptr, self.dst[np.lexsort((self.dst, self.src))]
+            self._heads = _csr(self.n_nodes, self.src, self.dst)
         return self._heads
 
     def out_degrees(self):
@@ -168,12 +174,13 @@ class UnGraph:
         stop = int(bad[0]) if bad.size else len(u)
         dup = _first_duplicate(lo[:stop] * n + hi[:stop])
         if dup is not None:
-            raise ValueError(f"duplicate pair ({u[dup]},{v[dup]})")
+            raise InvalidArgument(f"duplicate pair ({u[dup]},{v[dup]})")
         if bad.size:
             if u[stop] == v[stop]:
-                raise ValueError(f"self-pair ({u[stop]},{v[stop]})")
-            raise ValueError(f"pair ({u[stop]},{v[stop]}) out of range")
+                raise InvalidArgument(f"self-pair ({u[stop]},{v[stop]})")
+            raise InvalidArgument(f"pair ({u[stop]},{v[stop]}) out of range")
         self.u, self.v = lo, hi
+        self._nbrs = None
 
     @property
     def edges(self):
@@ -184,14 +191,13 @@ class UnGraph:
     def n_edges(self):
         return len(self.u)
 
-    def adj(self):
-        adj = [[] for _ in range(self.n_nodes)]
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        for a in adj:
-            a.sort()
-        return adj
+    def neighbours(self):
+        """(indptr, nbrs): node u's neighbours, in increasing order, are
+        nbrs[indptr[u]:indptr[u + 1]]; built once."""
+        if self._nbrs is None:
+            self._nbrs = _csr(self.n_nodes, np.concatenate([self.u, self.v]),
+                              np.concatenate([self.v, self.u]))
+        return self._nbrs
 
 
 @dataclass
@@ -561,35 +567,36 @@ def reachable_from(g: DiGraph, sources) -> set:
 def directed_core(g: DiGraph):
     """Residual core of the greedy leaf-removal procedure.
 
-    Works on the bipartite split: a degree-1 vertex forces its neighbour
-    to be removed together with all incident edges.  A digraph node is in
-    the core if either of its copies survives with positive degree.
-    Returns (core node set, core fraction).
+    Works on the bipartite split, the undirected graph joining out-copy
+    u to in-copy n + v for each edge u -> v: a degree-1 vertex forces its
+    neighbour to be removed together with all incident edges.  A digraph
+    node is in the core if either of its copies survives with positive
+    degree.  Returns (core node set, core fraction).
     """
     n = g.n_nodes
-    # vertices 0..n-1 are out-copies, n..2n-1 in-copies
-    adj = [set() for _ in range(2 * n)]
-    for s, d in zip(g.src.tolist(), g.dst.tolist()):
-        adj[s].add(n + d)
-        adj[n + d].add(s)
-    removed = [False] * (2 * n)
-    q = deque(v for v in range(2 * n) if len(adj[v]) == 1)
+    indptr_a, nbrs_a = UnGraph.from_arrays(2 * n, g.src, n + g.dst) \
+        .neighbours()
+    deg_a = np.diff(indptr_a)
+    # the XOR of a vertex's surviving neighbours is its last one at degree 1
+    last_a = np.zeros(2 * n, dtype=np.intp)
+    np.bitwise_xor.at(last_a, np.repeat(np.arange(2 * n), deg_a), nbrs_a)
+    indptr, nbrs = indptr_a.tolist(), nbrs_a.tolist()
+    deg, last = deg_a.tolist(), last_a.tolist()
+    q = deque(np.flatnonzero(deg_a == 1).tolist())
     while q:
         v = q.popleft()
-        if removed[v] or len(adj[v]) != 1:
+        if deg[v] != 1:
             continue
-        (w,) = adj[v]
-        # remove w entirely
-        removed[w] = True
-        for x in adj[w]:
-            adj[x].discard(w)
-            if not removed[x] and len(adj[x]) == 1:
-                q.append(x)
-        adj[w] = set()
-    core = sorted(
-        {v % n for v in range(2 * n) if not removed[v] and len(adj[v]) >= 1}
-    )
-    return set(core), len(core) / n if n else 0.0
+        w = last[v]
+        deg[w] = 0  # removed; each survivor in w's row still counts w
+        for x in nbrs[indptr[w]:indptr[w + 1]]:
+            if deg[x]:
+                deg[x] -= 1
+                last[x] ^= w
+                if deg[x] == 1:
+                    q.append(x)
+    core = set((np.flatnonzero(np.array(deg) > 0) % n).tolist())
+    return core, len(core) / n if n else 0.0
 
 
 def weakly_connected_components(g: DiGraph):

@@ -4,6 +4,8 @@ transitions, and a Luenberger observer simulator.
 """
 from __future__ import annotations
 
+import heapq
+import math
 import re
 from dataclasses import dataclass
 
@@ -110,34 +112,23 @@ def parse_reactions(text: str) -> ReactionSystem:
         if reversible:
             back = rates[1] if len(rates) > 1 else rates[0]
             rows.append((back, right, left))
-    n = len(species)
-    r = len(rows)
-    alpha = np.zeros((r, n))
-    beta = np.zeros((r, n))
-    rates = []
-    for j, (k, left, right) in enumerate(rows):
-        rates.append(k)
-        for name, c in left.items():
-            alpha[j, index[name]] = c
-        for name, c in right.items():
-            beta[j, index[name]] = c
-    return ReactionSystem(species, rates, alpha, beta)
+    alpha = np.zeros((len(rows), len(species)))
+    beta = np.zeros_like(alpha)
+    for j, (_, left, right) in enumerate(rows):
+        for stoich, side in ((alpha, left), (beta, right)):
+            for name, c in side.items():
+                stoich[j, index[name]] = c
+    return ReactionSystem(species, [k for k, _, _ in rows], alpha, beta)
 
 
 def inference_diagram(sys: ReactionSystem) -> DiGraph:
     """Digraph with an edge i -> l when species l appears in species i's
     balance equation: some reaction j both changes i (gamma_ij != 0) and
     consumes l (alpha_jl > 0)."""
-    gamma = sys.gamma
-    n = sys.n_species
-    pairs = set()
-    for j in range(len(sys.rates)):
-        touched = np.flatnonzero(gamma[:, j])
-        inputs = np.flatnonzero(sys.alpha[j])
-        for i in touched:
-            for l in inputs:
-                pairs.add((int(i), int(l)))
-    return DiGraph.from_pairs(n, sorted(pairs), labels=list(sys.species))
+    linked = (sys.gamma != 0).astype(int) @ (sys.alpha != 0).astype(int)
+    src, dst = np.nonzero(linked)
+    return DiGraph.from_arrays(sys.n_species, src, dst,
+                               labels=list(sys.species))
 
 
 @dataclass
@@ -153,9 +144,7 @@ def min_sensors(g: DiGraph) -> SensorReport:
     scc = scc_decompose(g)
     roots = [scc.components[c] for c in scc.root_components()]
     sensors = [min(comp) for comp in roots]
-    mult = 1
-    for comp in roots:
-        mult *= len(comp)
+    mult = math.prod(len(comp) for comp in roots)
     pure = [comp[0] for comp in roots if len(comp) == 1]
     return SensorReport(roots, sensors, len(roots), mult, pure)
 
@@ -163,9 +152,6 @@ def min_sensors(g: DiGraph) -> SensorReport:
 def is_valid_sensor_set(g: DiGraph, sensors) -> bool:
     """A sensor set is sufficient at the graph level iff every node is
     reachable from some sensor (equivalently: it hits every root SCC)."""
-    sensors = set(sensors)
-    if not sensors and g.n_nodes:
-        return False
     return len(reachable_from(g, sensors)) == g.n_nodes
 
 
@@ -184,19 +170,15 @@ def target_sensor(g_inf: DiGraph, targets):
     """
     targets = set(targets)
     if not targets:
-        raise ValueError("need at least one target")
-    scc = scc_decompose(g_inf)
-    sizes = [len(c) for c in scc.components]
+        raise InvalidArgument("need at least one target")
     best = None
     for v in range(g_inf.n_nodes):
         if v in targets:
             continue
+        # whatever reaches one node of an SCC reaches all of it
         reach = reachable_from(g_inf, [v])
-        if not targets <= reach:
-            continue
-        cost = sum(sizes[c] for c in {scc.component_of[u] for u in reach})
-        if best is None or cost < best[1]:
-            best = (v, cost)
+        if targets <= reach and (best is None or len(reach) < best[1]):
+            best = (v, len(reach))
     if best is None:
         raise NoPathToTarget(f"no non-target node reaches all of {sorted(targets)}")
     return best
@@ -219,67 +201,80 @@ def mds_solve(g: UnGraph):
     Returns (sorted node list, exact flag).
     """
     n = g.n_nodes
-    adj = [set(a) for a in g.adj()]
+    indptr_a, nbrs_a = g.neighbours()
+    indptr, nbrs = indptr_a.tolist(), nbrs_a.tolist()
+    deg = np.diff(indptr_a).tolist()  # alive neighbours
+    unobserved_nb = list(deg)  # alive unobserved neighbours
     observed = [False] * n
     alive = [True] * n
     occupied = []
 
+    def alive_nbrs(v):
+        return [u for u in nbrs[indptr[v]:indptr[v + 1]] if alive[u]]
+
+    # occupy and remove return the nodes whose counters they changed
     def occupy(v):
         occupied.append(v)
-        observed[v] = True
-        for u in list(adj[v]):
-            observed[u] = True
-        remove(v)
+        touched = []
+        for u in [v] + alive_nbrs(v):
+            if not observed[u]:
+                observed[u] = True
+                touched += alive_nbrs(u)
+        for x in touched:
+            unobserved_nb[x] -= 1
+        return touched + remove(v)
 
     def remove(v):
         alive[v] = False
-        for u in list(adj[v]):
-            adj[u].discard(v)
-        adj[v].clear()
+        touched = alive_nbrs(v)
+        for u in touched:
+            deg[u] -= 1
+        return touched
 
-    changed = True
-    while changed:
-        changed = False
-        for v in range(n):
-            if not alive[v]:
-                continue
-            unobserved_nb = [u for u in adj[v] if not observed[u]]
-            if not observed[v]:
-                if not adj[v]:
-                    occupy(v)
-                    changed = True
-                elif len(adj[v]) == 1:
-                    occupy(next(iter(adj[v])))
-                    changed = True
-            elif len(unobserved_nb) <= 1:
-                remove(v)
-                changed = True
+    def apply_rule(v):  # None if no rule fits v
+        if not observed[v] and deg[v] <= 1:
+            return occupy(alive_nbrs(v)[0] if deg[v] else v)
+        if observed[v] and unobserved_nb[v] <= 1:
+            return remove(v)
+        return None
+
+    # Passes over the nodes in index order until one changes nothing.  A
+    # pass visits only the nodes whose counters changed since their last
+    # visit: one touched at v waits for this pass if it comes after v.
+    queue, last = [(0, v) for v in range(n)], None
+    while queue:
+        step, v = key = heapq.heappop(queue)
+        if key != last and alive[v]:
+            for u in set(apply_rule(v) or ()):
+                heapq.heappush(queue, (step + (u <= v), u))
+        last = key
     exact = not any(alive)
-    while not all(observed[v] or not alive[v] for v in range(n)) or any(
-        alive[v] and not observed[v] for v in range(n)
-    ):
-        # greedy completion on the residual core: occupy the node covering
-        # the most still-unobserved nodes
-        best, gain = None, -1
-        for v in range(n):
-            if not alive[v]:
-                continue
-            cover = (0 if observed[v] else 1) + sum(
-                1 for u in adj[v] if not observed[u]
-            )
-            if cover > gain:
-                best, gain = v, cover
-        if best is None or gain <= 0:
-            break
-        occupy(best)
+
+    # greedy completion on the residual core: occupy the node covering the
+    # most still-unobserved nodes, lowest index first.  Covers only fall,
+    # so a stale heap entry is an upper bound and is refreshed when met.
+    def cover(v):
+        return (not observed[v]) + unobserved_nb[v]
+
+    heap = [(-cover(v), v) for v in range(n) if alive[v]]
+    heapq.heapify(heap)
+    while heap and heap[0][0] < 0:
+        neg, v = heapq.heappop(heap)
+        if alive[v] and cover(v) == -neg:
+            occupy(v)
+        elif alive[v]:
+            heapq.heappush(heap, (-cover(v), v))
     return sorted(occupied), exact
 
 
 def is_dominating_set(g: UnGraph, nodes) -> bool:
-    nodes = set(nodes)
-    adj = g.adj()
-    return all(v in nodes or any(u in nodes for u in adj[v])
-               for v in range(g.n_nodes))
+    indptr, nbrs = g.neighbours()
+    chosen = np.zeros(g.n_nodes, dtype=bool)
+    chosen[np.fromiter(nodes, dtype=np.intp)] = True
+    owner = np.repeat(np.arange(g.n_nodes), np.diff(indptr))
+    dominated = chosen.copy()
+    dominated[owner[chosen[nbrs]]] = True
+    return bool(dominated.all())
 
 
 def observability_transition(
@@ -299,11 +294,9 @@ def observability_transition(
         raise InvalidArgument("trials must be at least 1")
     n = g.n_nodes
     k = int(phi * n)
-    rows = np.concatenate([g.u, g.v])
-    cols = np.concatenate([g.v, g.u])
-    adj = csr_matrix(
-        (np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(n, n)
-    )
+    indptr, nbrs = g.neighbours()
+    adj = csr_matrix((np.ones(len(nbrs), dtype=np.int8), nbrs, indptr),
+                     shape=(n, n))
     sizes = []
     for _ in range(trials):
         monitors = rng.choice(n, size=k, replace=False) if k else np.array([], int)

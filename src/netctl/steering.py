@@ -20,7 +20,7 @@ from .errors import (
     SingularB,
     UnknownSystem,
 )
-from .graphs import DiGraph, component_ids, group_by_component
+from .graphs import DiGraph, component_ids, group_by_component, reach_mask
 
 
 @dataclass
@@ -377,10 +377,7 @@ def _flow_matrix(sys, x0, t_c):
 
 def _topo_order(g, removed):
     """Kahn order of the nodes outside `removed`, or None if a cycle stays."""
-    indeg = {}
-    for v in range(g.n_nodes):
-        if v not in removed:
-            indeg[v] = 0
+    indeg = {v: 0 for v in range(g.n_nodes) if v not in removed}
     for s, d in zip(g.src.tolist(), g.dst.tolist()):
         if s not in removed and d not in removed:
             indeg[d] += 1
@@ -412,9 +409,9 @@ def fvs_find(g: DiGraph, mode="heuristic") -> FvsResult:
                 if order is not None:
                     return FvsResult(nodes=sorted(combo), order=order,
                                      minimal=True, exact=True)
-        raise AssertionError("removing all nodes always leaves a DAG")
+        raise InvariantViolation("removing all nodes always leaves a DAG")
     if mode != "heuristic":
-        raise ValueError(f"unknown mode {mode!r}")
+        raise InvalidArgument(f"unknown mode {mode!r}")
 
     src, dst = g.arc_arrays()
     loops = src[src == dst]
@@ -436,10 +433,14 @@ def fvs_find(g: DiGraph, mode="heuristic") -> FvsResult:
             best = max(members, key=score.__getitem__)
             fvs.add(best)
             alive[best] = False
-    # minimality pass: drop any node whose return keeps the remainder acyclic
+    # minimality pass: put back each node whose return keeps the remainder
+    # acyclic, i.e. whose out-neighbours outside the set do not reach it
     for v in sorted(fvs):
-        if _topo_order(g, fvs - {v}) is not None:
-            fvs.discard(v)
+        alive[v] = True
+        keep = alive[src] & alive[dst]
+        alive[v] = not reach_mask(g.n_nodes, src[keep], dst[keep],
+                                  dst[keep & (src == v)])[v]
+    fvs = set(np.flatnonzero(~alive).tolist())
     order = _topo_order(g, fvs)
     if order is None:
         raise InvariantViolation("feedback vertex set leaves a cycle")

@@ -61,11 +61,7 @@ def min_driver_set(g: DiGraph) -> DriverReport:
     """Minimum driver nodes: the unmatched nodes of the canonical maximum
     matching; one driver (lowest index) if the matching is perfect."""
     m = maximum_matching(g)
-    unmatched = m.unmatched_nodes()
-    if unmatched:
-        drivers = unmatched
-    else:
-        drivers = [0] if g.n_nodes else []
+    drivers = m.unmatched_nodes() or ([0] if g.n_nodes else [])
     return DriverReport(max(g.n_nodes - m.size, 1) if g.n_nodes else 0,
                         drivers, m.size)
 

@@ -375,3 +375,86 @@ def parse_edge_list_reference(text, directed=True):
     if directed:
         return order, edges
     return order, [(min(s, d), max(s, d)) for s, d, _ in edges]
+
+
+def mds_scan_reference(n, pairs):
+    """Generalized leaf removal plus greedy completion as a plain scan over
+    per-node neighbour sets: the rules of `mds_solve` are applied in full
+    passes over the nodes in index order until a pass changes nothing,
+    then the node covering the most unobserved nodes (lowest index on
+    ties) is occupied until every node is observed.  This is the pinned
+    reference for `mds_solve`'s exact output.  Returns (sorted nodes,
+    exact flag)."""
+    adj = [set() for _ in range(n)]
+    for u, v in pairs:
+        adj[u].add(v)
+        adj[v].add(u)
+    observed = [False] * n
+    alive = [True] * n
+    occupied = []
+
+    def occupy(v):
+        occupied.append(v)
+        observed[v] = True
+        for u in list(adj[v]):
+            observed[u] = True
+        remove(v)
+
+    def remove(v):
+        alive[v] = False
+        for u in list(adj[v]):
+            adj[u].discard(v)
+        adj[v].clear()
+
+    changed = True
+    while changed:
+        changed = False
+        for v in range(n):
+            if not alive[v]:
+                continue
+            unobserved_nb = [u for u in adj[v] if not observed[u]]
+            if not observed[v]:
+                if not adj[v]:
+                    occupy(v)
+                    changed = True
+                elif len(adj[v]) == 1:
+                    occupy(next(iter(adj[v])))
+                    changed = True
+            elif len(unobserved_nb) <= 1:
+                remove(v)
+                changed = True
+    exact = not any(alive)
+    while any(alive[v] and not observed[v] for v in range(n)):
+        best, gain = None, -1
+        for v in range(n):
+            if not alive[v]:
+                continue
+            cover = (0 if observed[v] else 1) + sum(
+                1 for u in adj[v] if not observed[u])
+            if cover > gain:
+                best, gain = v, cover
+        if best is None or gain <= 0:
+            break
+        occupy(best)
+    return sorted(occupied), exact
+
+
+def core_by_rounds(n, pairs):
+    """Core of greedy leaf removal on a digraph's bipartite split (out-copy
+    s joined to in-copy n + d per edge s -> d) by whole-graph rounds: each
+    round deletes, at once, every edge at a vertex adjacent to a degree-1
+    vertex, until a round deletes nothing.  Returns the sorted list of
+    digraph nodes with a copy of positive degree left."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    a, b = pairs[:, 0], pairs[:, 1] + n
+    live = np.ones(len(a), dtype=bool)
+    while True:
+        deg = np.bincount(np.concatenate([a[live], b[live]]),
+                          minlength=2 * n)
+        gone = np.zeros(2 * n, dtype=bool)
+        gone[b[live & (deg[a] == 1)]] = True
+        gone[a[live & (deg[b] == 1)]] = True
+        drop = live & (gone[a] | gone[b])
+        if not drop.any():
+            return sorted(set((np.flatnonzero(deg > 0) % n).tolist()))
+        live &= ~drop

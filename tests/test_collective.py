@@ -15,7 +15,7 @@ from netctl.collective import (
     vicsek_order_parameter,
     vicsek_step,
 )
-from netctl.errors import DisconnectedGraph, NoPinnedNodes
+from netctl.errors import DisconnectedGraph, InvalidArgument, NoPinnedNodes
 from netctl.generators import ba_graph
 from netctl.graphs import UnGraph
 from netctl.steering import OdeSystem, make_system
@@ -216,6 +216,12 @@ class TestVicsekOrder:
     def test_phi_in_unit_interval(self):
         res = vicsek_order_parameter(60, 5.0, 0.03, 1.0, 2.0, 100, seed=11)
         assert (res.phi >= 0).all() and (res.phi <= 1 + 1e-12).all()
+
+    @pytest.mark.parametrize("transient", [-1, 40, 41])
+    def test_transient_must_leave_two_samples(self, transient):
+        with pytest.raises(InvalidArgument):
+            vicsek_order_parameter(10, 5.0, 0.03, 1.0, 2.0, 40, seed=1,
+                                   transient=transient)
 
     def test_ordered_and_disordered_regimes(self):
         ordered = vicsek_order_parameter(300, 5.0, 0.03, 1.0, 0.1, 300,

@@ -23,6 +23,7 @@ from netctl.graphs import (
 from netctl.generators import er_digraph
 from netctl.structural import control_centrality
 from oracles import (
+    core_by_rounds,
     hopcroft_karp_reference,
     longest_path_layers,
     maximum_matchings,
@@ -485,3 +486,33 @@ class TestDirectedCore:
         core, frac = directed_core(digraph(3, pairs))
         assert core == {0, 1, 2}
         assert frac == 1.0
+
+    def test_matches_whole_graph_rounds(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            n = int(rng.integers(1, 30))
+            s, d = np.nonzero(rng.random((n, n)) < rng.uniform(0.5, 4) / n)
+            core, frac = directed_core(DiGraph.from_arrays(n, s, d))
+            assert sorted(core) == core_by_rounds(n, np.stack([s, d], 1))
+            assert frac == len(core) / n
+
+    def test_zigzag_matches_whole_graph_rounds(self):
+        # arcs i -> i and i -> i + 1: the leaves peel one step per round
+        n = 2000
+        i = np.arange(n)
+        s = np.concatenate([i, i[:-1]])
+        d = np.concatenate([i, i[1:]])
+        core, _ = directed_core(DiGraph.from_arrays(n, s, d))
+        assert sorted(core) == core_by_rounds(n, np.stack([s, d], 1))
+
+
+class TestUnGraphNeighbours:
+    def test_sorted_rows_of_both_endpoints(self):
+        g = UnGraph(5, [(3, 1), (0, 3), (4, 1), (1, 0)])
+        indptr, nbrs = g.neighbours()
+        rows = [nbrs[indptr[u]:indptr[u + 1]].tolist() for u in range(5)]
+        assert rows == [[1, 3], [0, 3, 4], [], [0, 1], [1]]
+
+    def test_empty(self):
+        indptr, nbrs = UnGraph(3).neighbours()
+        assert indptr.tolist() == [0, 0, 0, 0] and nbrs.size == 0

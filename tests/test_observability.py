@@ -5,6 +5,7 @@ import pytest
 
 from netctl.errors import DimensionMismatch, NoPathToTarget, ParseError
 from netctl.exact import DenseSystem
+from netctl.generators import ba_graph
 from netctl.graphs import DiGraph, UnGraph, transpose
 from netctl.observability import (
     DEMO_REACTIONS,
@@ -21,7 +22,7 @@ from netctl.observability import (
     target_sensor,
 )
 from netctl.structural import min_driver_set
-from oracles import brute_force_mds
+from oracles import brute_force_mds, mds_scan_reference
 
 
 def random_ungraph(rng, n, p=0.25):
@@ -177,6 +178,13 @@ class TestMds:
             ds, _ = mds_solve(g)
             assert is_dominating_set(g, ds)
 
+    def test_dominating_set_check(self):
+        g = UnGraph(4, [(0, 1), (1, 2)])  # node 3 is isolated
+        assert is_dominating_set(g, [1, 3])
+        assert is_dominating_set(g, {0, 2, 3})
+        assert not is_dominating_set(g, [1])
+        assert not is_dominating_set(g, [0, 3])
+
     def test_exact_instances_match_brute_force(self):
         rng = random.Random(17)
         checked = 0
@@ -189,6 +197,24 @@ class TestMds:
                 assert len(ds) == opt
                 checked += 1
         assert checked > 10
+
+    def test_matches_scan_reference(self):
+        rng = np.random.default_rng(23)
+        residual = 0
+        for _ in range(400):
+            n = int(rng.integers(1, 40))
+            iu, iv = np.triu_indices(n, 1)
+            keep = rng.random(len(iu)) < rng.uniform(0.02, 0.4)
+            pairs = list(zip(iu[keep].tolist(), iv[keep].tolist()))
+            want = mds_scan_reference(n, pairs)
+            assert mds_solve(UnGraph(n, pairs)) == want
+            residual += not want[1]
+        assert residual > 50  # cores left for the greedy completion
+
+    @pytest.mark.parametrize("n", [200, 2000])
+    def test_ba_matches_scan_reference(self, n):
+        g = ba_graph(n, 3, np.random.default_rng(n))
+        assert mds_solve(g) == mds_scan_reference(n, g.edges)
 
     def test_transition_threshold_decreases_with_degree(self):
         rng = np.random.default_rng(19)

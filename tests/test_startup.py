@@ -92,6 +92,17 @@ def test_exact_nd_runs_without_scipy(tmp_path, capsys):
     assert got["out"] == capsys.readouterr().out
 
 
+def test_mds_runs_without_scipy(tmp_path, capsys):
+    edges = tmp_path / "g.edges"
+    edges.write_text("a b\nb c\nc d\nd a\na c\nd e\n")
+    argv = ["mds", "--input", str(edges)]
+    got = run_fresh(argv)
+    assert got["code"] == 0
+    assert not scipy_modules(got["modules"])
+    assert cli.main(argv) == 0
+    assert got["out"] == capsys.readouterr().out
+
+
 def test_drivers_loads_only_csgraph_kernels(tmp_path):
     edges = tmp_path / "g.edges"
     edges.write_text("a b\nb c\nc a\nc d\n")

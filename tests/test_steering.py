@@ -1,5 +1,6 @@
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 
@@ -249,6 +250,11 @@ class TestFvs:
             from netctl.steering import _topo_order
             for v in res.nodes:
                 assert _topo_order(g, removed - {v}) is None
+                # certificate: returning v closes a cycle through v
+                back = nx.DiGraph((s, d) for s, d in pairs
+                                  if {s, d}.isdisjoint(removed - {v}))
+                assert v in back and any(nx.has_path(back, w, v)
+                                         for w in back.successors(v))
 
     def test_exact_matches_oracle(self):
         rng = random.Random(9)

@@ -97,10 +97,10 @@ class EmpiricalDist:
     def __init__(self, counts):
         counts = np.asarray(counts, dtype=float)
         if counts.ndim != 1 or counts.size == 0 or (counts < 0).any():
-            raise ValueError("need a 1-d nonnegative histogram")
+            raise InvalidArgument("need a 1-d nonnegative histogram")
         total = counts.sum()
         if total == 0:
-            raise ValueError("empty histogram")
+            raise InvalidArgument("empty histogram")
         self.p = counts / total
         self.mean = float(np.arange(counts.size) @ self.p)
 
@@ -210,9 +210,9 @@ def nd_asymptotic(kind: str, k_mean: float, gamma: float = None) -> float:
         return math.exp(-k_mean / 2.0)
     if kind == "sf-static":
         if gamma is None or gamma <= 2:
-            raise ValueError("need gamma > 2")
+            raise InvalidArgument("need gamma > 2")
         return math.exp(-0.5 * (1.0 - 1.0 / (gamma - 1.0)) * k_mean)
-    raise ValueError(f"unknown ensemble kind {kind!r}")
+    raise InvalidArgument(f"unknown ensemble kind {kind!r}")
 
 
 def cavity_residual(dist_in, dist_out, state: CavityState) -> float:

@@ -211,11 +211,20 @@ def cmd_spectrum(args):
                      for i, e in enumerate(energies)]}
 
 
+def _read_inference(path):
+    """Inference diagram of a reaction file that names some species."""
+    from .observability import inference_diagram, parse_reactions
+
+    rs = parse_reactions(_read_text(path))
+    if rs.n_species == 0:
+        raise InputError(f"{path} holds no reactions")
+    return inference_diagram(rs)
+
+
 def cmd_sensors(args):
     from . import observability
 
-    rs = observability.parse_reactions(_read_text(args.reactions))
-    g = observability.inference_diagram(rs)
+    g = _read_inference(args.reactions)
     rep = observability.min_sensors(g)
     return {"n_sensors": rep.n_sensors,
             "sensors": _labels(g, rep.sensors),
@@ -226,8 +235,7 @@ def cmd_sensors(args):
 def cmd_target_sensor(args):
     from . import observability
 
-    rs = observability.parse_reactions(_read_text(args.reactions))
-    g = observability.inference_diagram(rs)
+    g = _read_inference(args.reactions)
     sensor, cost = observability.target_sensor(g, _indices(g, args.targets))
     return {"sensor": g.labels[sensor], "cost": cost}
 

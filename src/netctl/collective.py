@@ -34,7 +34,7 @@ class PinningConfig:
             np.asarray(self.kappa, dtype=float), (n,)).copy()
         self.pinned = sorted(self.pinned)
         if np.abs(self.coupling.sum(axis=1)).max() > 1e-12:
-            raise ValueError("coupling matrix must have zero row sums")
+            raise InvalidArgument("coupling matrix must have zero row sums")
         if any(self.kappa[i] <= 0 for i in self.pinned):
             raise InvalidArgument("pinned nodes need positive gains")
 

@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IllConditionedWarning, InvalidArgument, SingularGramian
+from .errors import (IllConditionedWarning, InvalidArgument, NonFiniteInput,
+                     SingularGramian)
 from .exact import DenseSystem
 
 _SINGULAR_ETA = 1e-12
@@ -101,9 +102,11 @@ def min_energy_input(
     x_i = np.asarray(x_i, dtype=float)
     x_f = np.asarray(x_f, dtype=float)
     if x_i.shape != (sys.n,) or x_f.shape != (sys.n,):
-        raise ValueError("state dimension mismatch")
+        raise InvalidArgument(f"x_i and x_f must each have length {sys.n}")
+    if not (np.isfinite(x_i).all() and np.isfinite(x_f).all()):
+        raise NonFiniteInput("x_i and x_f must be finite")
     if n_steps < 1:
-        raise ValueError("need at least one step")
+        raise InvalidArgument("need at least one step")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)
         gr = gramian(sys, t_final)
@@ -115,9 +118,13 @@ def min_energy_input(
     a, b = sys.a, sys.b
     n = sys.n
     e_final = expm(a * t_final)
-    v_f = x_f - e_final @ x_i
-    alpha = np.linalg.solve(gr.w, v_f)
-    energy = float(v_f @ alpha)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        v_f = x_f - e_final @ x_i
+        alpha = np.linalg.solve(gr.w, v_f)
+        energy = float(v_f @ alpha)
+    if not math.isfinite(energy):
+        raise InvalidArgument("x_i and x_f are too large: the minimum energy "
+                              "overflows")
 
     m = np.zeros((2 * n, 2 * n))
     m[:n, :n] = a

@@ -1,5 +1,5 @@
-"""Numeric linear-algebra controllability: Kalman rank, eigenstructure,
-and the eigenvalue-wise (PBH) minimum driver count with driver selection.
+"""Numeric linear-algebra controllability: Kalman rank and the
+eigenvalue-wise (PBH) minimum driver count with driver selection.
 """
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvariantViolation, NonFiniteInput
+from .errors import (DimensionMismatch, InvalidArgument, InvariantViolation,
+                     NonFiniteInput)
 
 
 def _require_finite(m):
@@ -50,13 +51,6 @@ class DenseSystem:
         return self.a.shape[0]
 
 
-@dataclass
-class EigenStructure:
-    eigenvalues: list  # distinct (clustered) eigenvalues
-    algebraic: list  # algebraic multiplicity per distinct eigenvalue
-    geometric: list  # geometric multiplicity per distinct eigenvalue
-
-
 def _matrix_rank(m, tol=None):
     if m.size == 0:
         return 0
@@ -75,8 +69,9 @@ def kalman_rank(sys: DenseSystem):
     """
     n = sys.n
     if n > 50:
-        raise ValueError("explicit reachability matrix limited to N <= 50; "
-                         "use pbh_min_drivers for larger systems")
+        raise InvalidArgument("explicit reachability matrix limited to "
+                              "N <= 50; use pbh_min_drivers for larger "
+                              "systems")
     blocks = [sys.b]
     for _ in range(n - 1):
         blocks.append(sys.a @ blocks[-1])
@@ -138,34 +133,6 @@ def _shifted(a, lam):
     return a - (lam.real if lam.imag == 0 else lam) * np.eye(a.shape[0])
 
 
-def eigen_table(a) -> EigenStructure:
-    """Distinct eigenvalues with algebraic and geometric multiplicities.
-
-    Eigenvalues closer than 1e-8 * max(1, ||A||_2) are treated as one;
-    geometric multiplicity is evaluated at the cluster centroid.
-    """
-    a = _square_finite(a)
-    tol = 1e-8 * _pbh_scale(a)
-    centers, alg = _cluster_eigenvalues(np.linalg.eigvals(a), tol)
-    # singular values below the clustering scale count as zero, so the
-    # rank drop is detected at the same resolution that merged the cluster
-    geo = [a.shape[0] - _matrix_rank(_shifted(a, lam), tol=tol)
-           for lam in centers]
-    if np.allclose(a, a.T):
-        _check_symmetric(centers, alg, geo)
-    return EigenStructure(centers, alg, geo)
-
-
-def _check_symmetric(centers, alg, geo):
-    """A symmetric matrix is diagonalizable: raise InvariantViolation
-    unless each listed cluster's multiplicities agree."""
-    for lam, al, ge in zip(centers, alg, geo):
-        if al != ge:
-            raise InvariantViolation(
-                f"eigenvalue {complex(lam):.10g} of a symmetric matrix: "
-                f"geometric multiplicity {ge}, algebraic {al}")
-
-
 def _max_geometric(a, first=True):
     """(N_D, λ, tol): the largest geometric multiplicity over the
     eigenvalue clusters of a nonempty square A, the first cluster in
@@ -225,8 +192,11 @@ def _max_geometric(a, first=True):
         if most > n_d or (first and most == n_d and k < best):
             geo = int((np.linalg.svd(_shifted(a, lam), compute_uv=False)
                        <= tol).sum())
-            if symmetric:
-                _check_symmetric([centers[k]], [alg[k]], [geo])
+            if symmetric and geo != alg[k]:  # symmetric: diagonalizable
+                raise InvariantViolation(
+                    f"eigenvalue {complex(centers[k]):.10g} of a symmetric "
+                    f"matrix: geometric multiplicity {geo}, algebraic "
+                    f"{alg[k]}")
             if geo > n_d or (geo == n_d and k < best):
                 n_d, best = geo, k
         for z in {lam, lam.conjugate()}:
@@ -342,13 +312,13 @@ def self_loop_sweep(a, loop_weights, densities, seeds):
     a = _square_finite(a)
     n = a.shape[0]
     if len(loop_weights) != len(densities):
-        raise ValueError("one density per loop weight")
+        raise InvalidArgument("one density per loop weight")
     if abs(sum(densities) - 1.0) > 1e-9:
-        raise ValueError("densities must sum to 1")
+        raise InvalidArgument("densities must sum to 1")
     counts = [int(round(d * n)) for d in densities]
     counts[-1] = n - sum(counts[:-1])
     if min(counts) < 0:
-        raise ValueError("densities incompatible with N")
+        raise InvalidArgument("densities incompatible with N")
     samples = []
     for seed in seeds:
         rng = np.random.default_rng(seed)

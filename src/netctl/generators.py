@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import RejectionFailure
+from .errors import InvalidArgument, RejectionFailure
 from .graphs import DiGraph, UnGraph
 
 
@@ -50,7 +50,7 @@ def config_model_digraph(
     out_deg = np.asarray(out_deg, dtype=np.int64)
     in_deg = np.asarray(in_deg, dtype=np.int64)
     if out_deg.sum() != in_deg.sum():
-        raise ValueError("stub totals differ")
+        raise InvalidArgument("stub totals differ")
     n = out_deg.size
     src = np.repeat(np.arange(n), out_deg)
     dst = np.repeat(np.arange(n), in_deg)
@@ -83,7 +83,7 @@ def ba_graph(n: int, m: int, rng: np.random.Generator) -> UnGraph:
     """Undirected Barabási–Albert preferential attachment: each new node
     attaches to m distinct existing nodes chosen by degree."""
     if n <= m:
-        raise ValueError("need n > m")
+        raise InvalidArgument("need n > m")
     pairs = []
     repeated = []  # node listed once per incident edge endpoint
     for v in range(m):  # seed star keeps early degrees nonzero

@@ -4,7 +4,10 @@ Node labels are interned to dense indices in first-appearance order and
 every algorithm iterates in index order, so all results are deterministic
 for a given input.  Graphs keep their edges as parallel index arrays in
 input order; the combinatorial work runs on those arrays and on
-`scipy.sparse.csgraph`.
+`scipy.sparse.csgraph`.  Components and reachability are arrays too:
+`component_ids` numbers each node's strong or weak component,
+`scc_roots` marks which strong components no arc enters, and
+`reach_mask` flags the nodes reachable from a set of sources.
 """
 from __future__ import annotations
 
@@ -224,21 +227,6 @@ class Matching:
 
     def unmatched_nodes(self):
         return np.flatnonzero(self.pair_right < 0).tolist()
-
-
-@dataclass
-class SccDecomposition:
-    component_of: list  # node -> component id
-    components: list  # component id -> sorted member list
-    condensation: list  # component id -> sorted list of successor component ids
-    is_root: list  # component id -> True iff no incoming condensation edge
-
-    @property
-    def n_components(self):
-        return len(self.components)
-
-    def root_components(self):
-        return [c for c in range(self.n_components) if self.is_root[c]]
 
 
 # Code points that str.split() treats as whitespace and str.splitlines()
@@ -520,14 +508,6 @@ def component_ids(n, src, dst, connection="strong"):
     return np.unique(first[labels], return_inverse=True)[1]
 
 
-def group_by_component(ids):
-    """Member lists of each component id, each in increasing node order."""
-    groups = [[] for _ in range(int(ids.max()) + 1 if len(ids) else 0)]
-    for v, c in enumerate(ids.tolist()):
-        groups[c].append(v)
-    return groups
-
-
 def reach_mask(n, src, dst, sources):
     """Boolean mask of the nodes reachable from any of `sources` (sources
     included) under the arcs src[i] -> dst[i]."""
@@ -542,26 +522,15 @@ def reach_mask(n, src, dst, sources):
     return mask[:n]
 
 
-def scc_decompose(g: DiGraph) -> SccDecomposition:
-    """Strongly connected components with sorted member lists, component
-    ids following the smallest member, and the condensation digraph."""
-    src, dst = g.arc_arrays()
-    comp = component_ids(g.n_nodes, src, dst)
-    components = group_by_component(comp)
-    cs, cd = comp[src], comp[dst]
-    cross = cs != cd
-    succ = [[] for _ in components]
-    is_root = [True] * len(components)
-    for a, b in np.unique(np.stack([cs[cross], cd[cross]], axis=1),
-                          axis=0).tolist():
-        succ[a].append(b)
-        is_root[b] = False
-    return SccDecomposition(comp.tolist(), components, succ, is_root)
-
-
-def reachable_from(g: DiGraph, sources) -> set:
-    mask = reach_mask(g.n_nodes, g.src, g.dst, list(sources))
-    return set(np.flatnonzero(mask).tolist())
+def scc_roots(g: DiGraph):
+    """(comp, is_root): the strong component of each node, numbered as by
+    `component_ids`, and a boolean mask over component ids that holds for
+    the root components, those no arc enters from another component."""
+    comp = component_ids(g.n_nodes, g.src, g.dst)
+    is_root = np.ones(int(comp.max()) + 1 if len(comp) else 0, dtype=bool)
+    cs, cd = comp[g.src], comp[g.dst]
+    is_root[cd[cs != cd]] = False
+    return comp, is_root
 
 
 def directed_core(g: DiGraph):
@@ -597,10 +566,3 @@ def directed_core(g: DiGraph):
                     q.append(x)
     core = set((np.flatnonzero(np.array(deg) > 0) % n).tolist())
     return core, len(core) / n if n else 0.0
-
-
-def weakly_connected_components(g: DiGraph):
-    """Weak components as sorted member lists, ordered by smallest member."""
-    src, dst = g.arc_arrays()
-    return group_by_component(
-        component_ids(g.n_nodes, src, dst, connection="weak"))

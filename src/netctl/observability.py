@@ -21,8 +21,8 @@ from .graphs import (
     DiGraph,
     UnGraph,
     component_ids,
-    reachable_from,
-    scc_decompose,
+    reach_mask,
+    scc_roots,
     transpose,
 )
 from .structural import DriverReport, min_driver_set
@@ -141,18 +141,25 @@ class SensorReport:
 
 
 def min_sensors(g: DiGraph) -> SensorReport:
-    scc = scc_decompose(g)
-    roots = [scc.components[c] for c in scc.root_components()]
-    sensors = [min(comp) for comp in roots]
-    mult = math.prod(len(comp) for comp in roots)
-    pure = [comp[0] for comp in roots if len(comp) == 1]
-    return SensorReport(roots, sensors, len(roots), mult, pure)
+    comp, is_root = scc_roots(g)
+    # the members of each root SCC, in node order; a stable sort by
+    # component keeps node order inside each component
+    nodes = np.flatnonzero(is_root[comp])
+    nodes = nodes[np.argsort(comp[nodes], kind="stable")]
+    _, first, size = np.unique(comp[nodes], return_index=True,
+                               return_counts=True)
+    roots = [nodes[i:i + k].tolist()
+             for i, k in zip(first.tolist(), size.tolist())]
+    # a product of Python ints is exact; a numpy one overflows past 2**63
+    mult = math.prod(size.tolist())
+    return SensorReport(roots, [r[0] for r in roots], len(roots), mult,
+                        [r[0] for r in roots if len(r) == 1])
 
 
 def is_valid_sensor_set(g: DiGraph, sensors) -> bool:
     """A sensor set is sufficient at the graph level iff every node is
     reachable from some sensor (equivalently: it hits every root SCC)."""
-    return len(reachable_from(g, sensors)) == g.n_nodes
+    return bool(reach_mask(g.n_nodes, g.src, g.dst, list(sensors)).all())
 
 
 def sensors_via_duality(g: DiGraph) -> DriverReport:
@@ -168,17 +175,20 @@ def target_sensor(g_inf: DiGraph, targets):
     of the SCCs reachable from it, and ties break to the lowest index.
     Returns (sensor, cost).
     """
+    n = g_inf.n_nodes
     targets = set(targets)
     if not targets:
         raise InvalidArgument("need at least one target")
+    t = np.array(sorted(targets), dtype=np.intp)
     best = None
-    for v in range(g_inf.n_nodes):
+    # an index outside 0..n-1 names no node, and no node reaches it
+    for v in range(n if 0 <= t[0] and t[-1] < n else 0):
         if v in targets:
             continue
         # whatever reaches one node of an SCC reaches all of it
-        reach = reachable_from(g_inf, [v])
-        if targets <= reach and (best is None or len(reach) < best[1]):
-            best = (v, len(reach))
+        reach = reach_mask(n, g_inf.src, g_inf.dst, [v])
+        if reach[t].all() and (best is None or reach.sum() < best[1]):
+            best = (v, int(reach.sum()))
     if best is None:
         raise NoPathToTarget(f"no non-target node reaches all of {sorted(targets)}")
     return best
@@ -327,6 +337,8 @@ def luenberger_observe(sys, l_gain, x0, z0, t_final: float, n_steps: int = 200):
         raise DimensionMismatch("gain must map outputs to states")
     x0 = np.asarray(x0, dtype=float)
     z0 = np.asarray(z0, dtype=float)
+    if x0.shape != (n,) or z0.shape != (n,):
+        raise InvalidArgument(f"x0 and z0 must each have length {n}")
     big = np.zeros((2 * n, 2 * n))
     big[:n, :n] = a
     big[n:, :n] = l_gain @ c

@@ -20,7 +20,7 @@ from .errors import (
     SingularB,
     UnknownSystem,
 )
-from .graphs import DiGraph, component_ids, group_by_component, reach_mask
+from .graphs import DiGraph, component_ids, reach_mask
 
 
 @dataclass
@@ -106,7 +106,9 @@ def hubler_input(sys, b, goal, goal_dot, t_final, x0=None, n_steps=400):
         return np.asarray(sys.f(t, x, zero_u), dtype=float) + b @ input_at(t)
 
     if x0 is None:
-        x0 = np.asarray(goal(0.0), dtype=float)
+        x0 = goal(0.0)
+    elif np.shape(x0) != (sys.n,):
+        raise InvalidArgument(f"x0 must have length {sys.n}")
     t_eval = np.linspace(0.0, t_final, n_steps + 1)
     sol = solve_ivp(rhs, (0.0, t_final), np.asarray(x0, dtype=float),
                     t_eval=t_eval, rtol=1e-6, atol=1e-9)
@@ -316,6 +318,9 @@ def compensatory_perturbation(sys, x0, x_target, control_set=None,
     else:
         lo = np.asarray(bounds[0], dtype=float)
         hi = np.asarray(bounds[1], dtype=float)
+    if any(v.shape != (sys.n,) for v in (x0, x_target, lo, hi)):
+        raise InvalidArgument(f"x0, the target and the bounds must each "
+                              f"have length {sys.n}")
     if np.any(lo > hi):
         raise InfeasibleConstraints("empty perturbation box")
     zero_u = np.zeros(sys.n)
@@ -413,32 +418,32 @@ def fvs_find(g: DiGraph, mode="heuristic") -> FvsResult:
     if mode != "heuristic":
         raise InvalidArgument(f"unknown mode {mode!r}")
 
+    n = g.n_nodes
     src, dst = g.arc_arrays()
-    loops = src[src == dst]
-    fvs = set(loops.tolist())
-    alive = np.ones(g.n_nodes, dtype=bool)
-    alive[loops] = False
+    alive = np.ones(n, dtype=bool)  # False on the nodes in the set
+    alive[src[src == dst]] = False
     while True:
         keep = alive[src] & alive[dst]
         s, d = src[keep], dst[keep]
-        comp = component_ids(g.n_nodes, s, d)
-        cyclic = [c for c in group_by_component(comp) if len(c) > 1]
-        if not cyclic:
+        comp = component_ids(n, s, d)
+        cyclic = np.flatnonzero(np.bincount(comp)[comp] > 1)
+        if not cyclic.size:
             break
         inner = comp[s] == comp[d]
         # traffic score: in-component out-degree times in-degree
-        score = (np.bincount(s[inner], minlength=g.n_nodes)
-                 * np.bincount(d[inner], minlength=g.n_nodes)).tolist()
-        for members in cyclic:
-            best = max(members, key=score.__getitem__)
-            fvs.add(best)
-            alive[best] = False
+        score = (np.bincount(s[inner], minlength=n)
+                 * np.bincount(d[inner], minlength=n))
+        # each cyclic SCC gives up its highest-score node, lowest index on
+        # ties: the first of its run once sorted by (component, -score, index)
+        ranked = cyclic[np.lexsort((cyclic, -score[cyclic], comp[cyclic]))]
+        c = comp[ranked]
+        alive[ranked[np.r_[True, c[1:] != c[:-1]]]] = False
     # minimality pass: put back each node whose return keeps the remainder
     # acyclic, i.e. whose out-neighbours outside the set do not reach it
-    for v in sorted(fvs):
+    for v in np.flatnonzero(~alive).tolist():
         alive[v] = True
         keep = alive[src] & alive[dst]
-        alive[v] = not reach_mask(g.n_nodes, src[keep], dst[keep],
+        alive[v] = not reach_mask(n, src[keep], dst[keep],
                                   dst[keep & (src == v)])[v]
     fvs = set(np.flatnonzero(~alive).tolist())
     order = _topo_order(g, fvs)

@@ -20,7 +20,7 @@ from .graphs import (
     component_ids,
     maximum_matching,
     reach_mask,
-    scc_decompose,
+    scc_roots,
 )
 
 CRITICAL = "critical"
@@ -275,22 +275,24 @@ def min_actuators(g: DiGraph) -> ActuatorReport:
     real partner plus the first member of each root SCC no slack reached.
     """
     n = g.n_nodes
-    scc = scc_decompose(g)
-    roots = scc.root_components()
+    comp, is_root = scc_roots(g)
+    roots = np.flatnonzero(is_root)
     beta = len(roots)
+    # first member of each root SCC, in increasing order (component ids
+    # follow the smallest member)
+    first = np.unique(comp, return_index=True)[1][roots]
     m = maximum_matching(g)
 
     if m.size == n and n > 0:
         # perfectly matched: the single floor driver can sit in any root SCC
         alpha = 1
-        actuators = sorted({scc.components[c][0] for c in roots})
-        return ActuatorReport(1 + beta - alpha, actuators, 1, beta, alpha)
+        return ActuatorReport(1 + beta - alpha, first.tolist(), 1, beta, alpha)
 
     n_d = n - m.size
     # slack out-copy n + j for root SCC roots[j], with arcs to its members
-    slack = np.full(scc.n_components, -1, dtype=np.intp)
+    slack = np.full(len(is_root), -1, dtype=np.intp)
     slack[roots] = np.arange(beta)
-    slack_of = slack[np.asarray(scc.component_of, dtype=np.intp)]
+    slack_of = slack[comp]
     in_root = np.flatnonzero(slack_of >= 0)
     combined = DiGraph._of(n + beta,
                            np.concatenate([g.src, n + slack_of[in_root]]),
@@ -304,8 +306,7 @@ def min_actuators(g: DiGraph) -> ActuatorReport:
         raise InvariantViolation(
             f"augmented matching kept {np.count_nonzero(real)} real edges, "
             f"maximum matching has {m.size}")
-    missed = [scc.components[c][0] for c, v in zip(roots, pair_l[n:])
-              if v < 0]
+    missed = first[np.array(pair_l[n:], dtype=np.intp) < 0].tolist()
     alpha = beta - len(missed)
     actuators = sorted(np.flatnonzero(~real).tolist() + missed)
     return ActuatorReport(n_d + beta - alpha, actuators, n_d, beta, alpha)

@@ -458,3 +458,34 @@ def core_by_rounds(n, pairs):
         if not drop.any():
             return sorted(set((np.flatnonzero(deg > 0) % n).tolist()))
         live &= ~drop
+
+
+def fvs_rounds_reference(n, pairs):
+    """The heuristic of `fvs_find` as per-node lists and networkx SCCs:
+    self-loop nodes join the set; then, round by round, every strongly
+    connected component with more than one node gives up its node of
+    highest in-component out-degree times in-degree (lowest index on
+    ties); last, each set node in increasing order is put back when the
+    remainder stays acyclic with it.  Returns the sorted set."""
+    import networkx as nx
+
+    h = nx.DiGraph()
+    h.add_nodes_from(range(n))
+    h.add_edges_from(pairs)
+    fvs = {u for u, v in pairs if u == v}
+    while True:
+        rest = h.subgraph(v for v in range(n) if v not in fvs)
+        cyclic = [sorted(c) for c in nx.strongly_connected_components(rest)
+                  if len(c) > 1]
+        if not cyclic:
+            break
+        for members in cyclic:
+            inner = rest.subgraph(members)
+            score = {v: inner.out_degree(v) * inner.in_degree(v)
+                     for v in members}
+            fvs.add(max(members, key=score.__getitem__))
+    for v in sorted(fvs):
+        if nx.is_directed_acyclic_graph(
+                h.subgraph(u for u in range(n) if u not in fvs or u == v)):
+            fvs.discard(v)
+    return sorted(fvs)

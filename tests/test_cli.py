@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -43,12 +44,17 @@ def files(tmp_path):
     np.savetxt(c, np.array([[1.0, 0.0]]))
     a2 = tmp_path / "a2.mat"
     np.savetxt(a2, np.array([[0.0, 1.0], [-2.0, -3.0]]))
+    b2 = tmp_path / "b2.mat"
+    np.savetxt(b2, np.array([[0.0], [1.0]]))
     l = tmp_path / "l.mat"
     np.savetxt(l, np.array([[1.0], [1.0]]))
+    no_reactions = tmp_path / "none.reactions"
+    no_reactions.write_text("# no reactions\n\n")
     return {
         "star": str(star), "ring": str(ring), "un": str(un),
         "reactions": str(reactions), "a": str(a), "b": str(b),
-        "c": str(c), "a2": str(a2), "l": str(l),
+        "c": str(c), "a2": str(a2), "b2": str(b2), "l": str(l),
+        "no_reactions": str(no_reactions),
     }
 
 
@@ -164,6 +170,12 @@ class TestTypedErrors:
         empty.write_text("# no edges\n")
         run_error(capsys, ["drivers", "--input", str(empty)], "InputError")
 
+    @pytest.mark.parametrize("command", [["sensors"],
+                                         ["target-sensor", "--targets", "0"]])
+    def test_no_reactions(self, files, capsys, command):
+        run_error(capsys, [command[0], "--reactions", files["no_reactions"]]
+                  + command[1:], "InputError")
+
     def test_driver_token_not_a_label(self, files, capsys):
         run_error(capsys, ["check", "--input", files["star"],
                            "--drivers", "zz"], "UnknownNode")
@@ -200,6 +212,12 @@ class TestTypedErrors:
         ["spectrum", "--a", "{a}", "--b", "{b}", "--t", "-1"],
         ["pyragas", "--tau", "0"],
         ["hubler", "--a", "{a2}", "--t", "0"],
+        ["energy", "--a", "{a2}", "--b", "{b2}", "--t", "1", "--x0", "1,2",
+         "--xf", "1"],
+        ["observer", "--a", "{a2}", "--c", "{c}", "--l", "{l}", "--t", "1",
+         "--x0", "1,2,3", "--z0", "0,0"],
+        ["hubler", "--a", "{a2}", "--x0", "1,2,3"],
+        ["compensate", "--x0", "1,2", "--target", "0"],
         ["clamp", "--t", "-1"],
         ["ogy", "--delta", "0"],
         ["fvs", "--input", "{long_ring}", "--mode", "exact"],
@@ -262,28 +280,107 @@ def fuzz_edge_file(draw):
     return data
 
 
+FUZZ_SPECIES = st.sampled_from(["A", "B", "C", "x1", "é", "节点", "0"])
+FUZZ_TARGETS = st.lists(st.one_of(FUZZ_SPECIES, st.integers(-1, 6).map(str)),
+                        min_size=1, max_size=3).map(",".join)
+FUZZ_RATE = st.sampled_from(["1", "0.5", "k=2", "1,0.5", "-1", "x", "1e309",
+                             ""])
+
+
+@st.composite
+def fuzz_reaction_file(draw):
+    """Bytes of a reaction file.  Half the files are well formed
+    (irreversible and reversible reactions, stoichiometric coefficients,
+    empty sides, comments, blank lines, possibly no reaction at all); the
+    other half may also hold lines without ':' or '->', bad rates, bad
+    terms and a byte that is not UTF-8."""
+    malformed = draw(st.booleans())
+    kinds = ["reaction"] * 6 + ["comment", "blank"]
+    if malformed:
+        kinds += ["no-colon", "no-arrow", "bad-term"]
+
+    def side():
+        terms = draw(st.lists(st.tuples(
+            st.sampled_from(["", "2 ", "0.5 "]), FUZZ_SPECIES), max_size=3))
+        return " + ".join(c + name for c, name in terms) or "0"
+
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(kinds))
+        arrow = draw(st.sampled_from(["->", "<->"]))
+        rate = draw(FUZZ_RATE) if malformed else "1"
+        lines.append({
+            "reaction": f"{rate}: {side()} {arrow} {side()}",
+            "comment": f"# {side()} -> {side()}",
+            "blank": "",
+            "no-colon": f"{side()} -> {side()}",
+            "no-arrow": f"{rate}: {side()}",
+            "bad-term": f"{rate}: 2 {side()} -> + {side()}",
+        }[kind])
+    data = "\n".join(lines).encode("utf-8")
+    if malformed and draw(st.integers(0, 9)) == 0:
+        data += b"\xff"
+    return data
+
+
+FUZZ_ENTRY = st.sampled_from(["1", "-2.5", "0", "1e200", "1e308", "nan",
+                              "inf", "", "x", " 1"])
+# half the vectors have the length of the 3-state test system
+FUZZ_VECTOR = st.one_of(st.lists(FUZZ_ENTRY, min_size=3, max_size=3),
+                        st.lists(FUZZ_ENTRY, min_size=1, max_size=4)) \
+    .map(",".join)
+
+
+def run_fuzzed(argv):
+    """Runs the CLI; it exits 0 with strict JSON, or 1 with one stderr
+    line, no traceback and no warning (which would print to stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    if code == 0:
+        assert strict_json(out.getvalue())["command"] == argv[0]
+    else:
+        assert code == 1
+        assert err.getvalue().count("\n") == 1
+        assert "Traceback" not in err.getvalue()
+        assert not caught, [str(w.message) for w in caught]
+
+
 class TestFuzzedInput:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(fuzz_edge_file(), FUZZ_TOKENS,
            st.sampled_from([["drivers"], ["check", "--drivers={}"],
                             ["centrality", "--nodes={}"],
-                            ["fvs", "--mode", "exact"], ["fvs"], ["mds"]]))
+                            ["fvs", "--mode", "exact"], ["fvs"], ["mds"],
+                            ["actuators"]]))
     def test_exits_0_or_1_without_traceback(self, data, tokens, command):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "fuzz.edges"
             path.write_bytes(data)
-            argv = [command[0], "--input", str(path)] + \
-                [a.format(tokens) for a in command[1:]]
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), \
-                    contextlib.redirect_stderr(err):
-                code = cli.main(argv)
-        if code == 0:
-            assert strict_json(out.getvalue())["command"] == argv[0]
-        else:
-            assert code == 1
-            assert err.getvalue().count("\n") == 1
-            assert "Traceback" not in err.getvalue()
+            run_fuzzed([command[0], "--input", str(path)]
+                       + [a.format(tokens) for a in command[1:]])
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(fuzz_reaction_file(), FUZZ_TARGETS,
+           st.sampled_from([["sensors"], ["target-sensor", "--targets={}"]]))
+    def test_reaction_files(self, data, tokens, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.reactions"
+            path.write_bytes(data)
+            run_fuzzed([command[0], "--reactions", str(path)]
+                       + [a.format(tokens) for a in command[1:]])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(FUZZ_VECTOR, FUZZ_VECTOR)
+    def test_energy_vectors(self, x0, xf):
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b = Path(tmp) / "a.mat", Path(tmp) / "b.mat"
+            np.savetxt(a, chain_matrix(3) - 0.5 * np.eye(3))
+            np.savetxt(b, np.array([[1.0], [0.0], [0.0]]))
+            run_fuzzed(["energy", "--a", str(a), "--b", str(b), "--t", "1",
+                        f"--x0={x0}", f"--xf={xf}"])
 
 
 class TestStructuralCommands:

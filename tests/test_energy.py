@@ -14,7 +14,8 @@ from netctl.energy import (
     min_energy_input,
     trajectory_energy,
 )
-from netctl.errors import IllConditionedWarning, SingularGramian
+from netctl.errors import (IllConditionedWarning, InvalidArgument,
+                           NonFiniteInput, SingularGramian)
 from netctl.exact import DenseSystem
 from oracles import min_energy_trace_reference
 
@@ -119,6 +120,17 @@ class TestMinEnergyInput:
         with pytest.raises(ValueError):
             min_energy_input(stable_chain(2), [0.0, 0.0], [1.0, 0.0], 1.0,
                              n_steps=0)
+
+    def test_rejects_wrong_state_length(self):
+        for x_i, x_f in (([0.0, 0.0], [1.0]), ([0.0], [1.0, 0.0])):
+            with pytest.raises(InvalidArgument):
+                min_energy_input(stable_chain(2), x_i, x_f, 1.0)
+
+    def test_rejects_non_finite_or_overflowing_states(self):
+        with pytest.raises(NonFiniteInput):
+            min_energy_input(stable_chain(2), [0.0, np.nan], [1.0, 0.0], 1.0)
+        with pytest.raises(InvalidArgument):
+            min_energy_input(stable_chain(2), [0.0, 0.0], [1e300, 0.0], 1.0)
 
     def test_singular_gramian_raises(self):
         a = np.array([[0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])

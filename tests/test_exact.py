@@ -1,4 +1,3 @@
-import math
 import random
 
 import numpy as np
@@ -13,7 +12,6 @@ from netctl.exact import (
     DenseSystem,
     chain_matrix,
     complete_matrix,
-    eigen_table,
     kalman_rank,
     pbh_controllable,
     pbh_min_drivers,
@@ -76,48 +74,39 @@ class TestKalmanRank:
             DenseSystem(np.eye(3), np.ones(2))
 
 
-class TestEigenTable:
-    def test_chain_eigenvalues(self):
-        for n in (4, 7):
-            es = eigen_table(chain_matrix(n))
-            expected = sorted(2 * math.cos(q * math.pi / (n + 1))
-                              for q in range(1, n + 1))
-            got = sorted(l.real for l in es.eigenvalues)
-            assert np.allclose(got, expected, atol=1e-8)
-            assert es.geometric == [1] * n
-
-    def test_star_eigenvalues(self):
-        n = 6
-        es = eigen_table(star_matrix(n))
-        by_val = {round(l.real, 6): g
-                  for l, g in zip(es.eigenvalues, es.geometric)}
-        s = math.sqrt(n - 1)
-        assert by_val[0.0] == n - 2
-        assert by_val[round(s, 6)] == 1 and by_val[round(-s, 6)] == 1
-
-    def test_identity(self):
-        es = eigen_table(np.eye(5))
-        assert len(es.eigenvalues) == 1
-        assert es.algebraic == [5] and es.geometric == [5]
-
-    def test_multiplicities_sum(self):
+class TestPbhMinDrivers:
+    def test_symmetric_matches_reference(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
             n = rng.integers(2, 9)
             a = random_weighted(rng, n)
-            a = a + a.T  # symmetric: algebraic = geometric
-            es = eigen_table(a)
-            assert sum(es.algebraic) == n
-            assert sum(es.geometric) == n
+            a = a + a.T
+            assert pbh_min_drivers(a) == pbh_min_drivers_reference(a)
 
-
-class TestPbhMinDrivers:
     def test_table_of_canonical_graphs(self):
         for n in (5, 10, 20):
             assert pbh_min_drivers(chain_matrix(n))[0] == 1
             assert pbh_min_drivers(ring_matrix(n))[0] == 2
             assert pbh_min_drivers(star_matrix(n))[0] == n - 2
             assert pbh_min_drivers(complete_matrix(n))[0] == n - 1
+
+    def test_chain_needs_one_driver(self):
+        # every eigenvalue of a chain is simple, so one input suffices
+        for n in (4, 7):
+            n_d, _lam, drivers = pbh_min_drivers(chain_matrix(n))
+            assert n_d == len(drivers) == 1
+
+    def test_star_needs_n_minus_2_drivers(self):
+        # eigenvalue 0 of the star has geometric multiplicity n - 2
+        n = 6
+        n_d, lam, drivers = pbh_min_drivers(star_matrix(n))
+        assert n_d == len(drivers) == n - 2
+        assert abs(lam) < 1e-8
+
+    def test_identity_needs_n_drivers(self):
+        n_d, lam, drivers = pbh_min_drivers(np.eye(5))
+        assert n_d == len(drivers) == 5
+        assert abs(lam - 1.0) < 1e-8
 
     def test_star_maximal_eigenvalue_is_zero(self):
         n_d, lam, drivers = pbh_min_drivers(star_matrix(8))
@@ -270,10 +259,6 @@ class TestPbhAgainstReference:
         # 0 holds one copy, yet its geometric multiplicity is 2
         a = np.zeros((15, 15))
         a[tuple(zip(*DEFECTIVE_01_ENTRIES))] = 1.0
-        es = eigen_table(a)
-        zero = min(range(len(es.eigenvalues)),
-                   key=lambda k: abs(es.eigenvalues[k]))
-        assert (es.algebraic[zero], es.geometric[zero]) == (1, 2)
         assert pbh_min_drivers(a) == pbh_min_drivers_reference(a) \
             == (2, 0j, [6, 11])
 

@@ -12,13 +12,13 @@ from netctl.graphs import (
     DiGraph,
     UnGraph,
     any_maximum_matching,
+    component_ids,
     directed_core,
     maximum_matching,
     parse_edge_list,
-    reachable_from,
-    scc_decompose,
+    reach_mask,
+    scc_roots,
     transpose,
-    weakly_connected_components,
 )
 from netctl.generators import er_digraph
 from netctl.structural import control_centrality
@@ -272,17 +272,28 @@ class TestMatchingAgainstReference:
             assert m.size == maximum_matching(g).size
 
 
+def reached(g, sources):
+    return np.flatnonzero(reach_mask(g.n_nodes, g.src, g.dst,
+                                     sources)).tolist()
+
+
+def members(ids):
+    """Member lists of each component id, in increasing node order."""
+    return [np.flatnonzero(ids == c).tolist()
+            for c in range(int(ids.max()) + 1 if len(ids) else 0)]
+
+
 class TestScc:
     def test_cycle(self):
-        scc = scc_decompose(digraph(3, [(0, 1), (1, 2), (2, 0)]))
-        assert scc.n_components == 1
-        assert scc.components[0] == [0, 1, 2]
-        assert scc.is_root == [True]
+        comp, is_root = scc_roots(digraph(3, [(0, 1), (1, 2), (2, 0)]))
+        assert comp.tolist() == [0, 0, 0]
+        assert is_root.tolist() == [True]
 
     def test_dag(self):
-        scc = scc_decompose(digraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)]))
-        assert scc.n_components == 4
-        assert scc.root_components() == [scc.component_of[0]]
+        comp, is_root = scc_roots(digraph(4, [(0, 1), (0, 2), (1, 3),
+                                              (2, 3)]))
+        assert comp.tolist() == [0, 1, 2, 3]
+        assert np.flatnonzero(is_root).tolist() == [comp[0]]
 
     def test_condensation_acyclic(self):
         rng = random.Random(7)
@@ -291,43 +302,37 @@ class TestScc:
             pairs = {
                 (rng.randrange(n), rng.randrange(n)) for _ in range(2 * n)
             }
-            scc = scc_decompose(digraph(n, sorted(pairs)))
-            # topological check: a DFS over the condensation never returns
-            # to an ancestor
-            order = {}
-            for c in range(scc.n_components):
-                for d in scc.condensation[c]:
-                    order.setdefault(c, len(order))
-                    assert d != c
-            # back-edge check via DFS colouring
-            color = [0] * scc.n_components
-            def dfs(c):
-                color[c] = 1
-                for d in scc.condensation[c]:
-                    assert color[d] != 1, "back edge in condensation"
-                    if color[d] == 0:
-                        dfs(d)
-                color[c] = 2
-            for c in range(scc.n_components):
-                if color[c] == 0:
-                    dfs(c)
+            g = digraph(n, sorted(pairs))
+            comp, is_root = scc_roots(g)
+            cs, cd = comp[g.src], comp[g.dst]
+            cross = cs != cd
+            cond = nx.DiGraph(zip(cs[cross].tolist(), cd[cross].tolist()))
+            cond.add_nodes_from(range(len(is_root)))
+            assert nx.is_directed_acyclic_graph(cond)
+            # arcs inside one component lie on a cycle
+            assert all(nx.has_path(nx_digraph(g), d, s)
+                       for s, d in zip(g.src[~cross].tolist(),
+                                       g.dst[~cross].tolist()))
+            assert is_root.tolist() == [cond.in_degree(c) == 0
+                                        for c in range(len(is_root))]
 
     def test_dag_n_components_equals_n(self):
         g = digraph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
-        assert scc_decompose(g).n_components == 5
+        comp, is_root = scc_roots(g)
+        assert len(is_root) == 5 and comp.tolist() == list(range(5))
 
 
 class TestReachable:
     def test_path(self):
         g = parse_edge_list("a b\nb c")
-        assert reachable_from(g, {0}) == {0, 1, 2}
+        assert reached(g, [0]) == [0, 1, 2]
 
     def test_empty_sources(self):
-        assert reachable_from(digraph(3, [(0, 1)]), set()) == set()
+        assert reached(digraph(3, [(0, 1)]), []) == []
 
     def test_disjoint_cycles(self):
         g = digraph(4, [(0, 1), (1, 0), (2, 3), (3, 2)])
-        assert reachable_from(g, {0}) == {0, 1}
+        assert reached(g, [0]) == [0, 1]
 
 
 # seeded ER digraphs (n, mean total degree, seed) on both sides of the giant
@@ -346,30 +351,30 @@ def nx_digraph(g):
 class TestAgainstNetworkx:
     def test_scc_partition(self, n, k, seed):
         g = er_digraph(n, k, np.random.default_rng(seed))
-        scc = scc_decompose(g)
+        comp = component_ids(n, g.src, g.dst)
         want = sorted(sorted(c) for c in
                       nx.strongly_connected_components(nx_digraph(g)))
-        assert scc.components == want
-        for c, members in enumerate(scc.components):
-            assert all(scc.component_of[v] == c for v in members)
+        assert members(comp) == want
+        assert np.array_equal(scc_roots(g)[0], comp)
 
     def test_condensation_and_roots(self, n, k, seed):
         g = er_digraph(n, k, np.random.default_rng(seed))
-        scc = scc_decompose(g)
+        comp, is_root = scc_roots(g)
         cond = nx.condensation(nx_digraph(g))
-        ours = {c: scc.component_of[min(cond.nodes[c]["members"])]
-                for c in cond}
-        assert {(ours[a], ours[b]) for a, b in cond.edges} == {
-            (c, d) for c, succ in enumerate(scc.condensation) for d in succ}
-        assert all(succ == sorted(succ) for succ in scc.condensation)
-        assert scc.root_components() == sorted(
+        ours = {c: comp[min(cond.nodes[c]["members"])] for c in cond}
+        cs, cd = comp[g.src], comp[g.dst]
+        cross = cs != cd
+        assert {(ours[a], ours[b]) for a, b in cond.edges} == set(
+            zip(cs[cross].tolist(), cd[cross].tolist()))
+        assert np.flatnonzero(is_root).tolist() == sorted(
             ours[c] for c in cond if cond.in_degree(c) == 0)
 
     def test_weak_components(self, n, k, seed):
         g = er_digraph(n, k, np.random.default_rng(seed))
         want = sorted(sorted(c) for c in
-                      nx.weakly_connected_components(nx_digraph(g)))
-        assert weakly_connected_components(g) == want
+                      nx.connected_components(nx_digraph(g).to_undirected()))
+        assert members(component_ids(n, g.src, g.dst,
+                                     connection="weak")) == want
 
     def test_matching_size(self, n, k, seed):
         g = er_digraph(n, k, np.random.default_rng(seed))
@@ -387,7 +392,7 @@ class TestAgainstNetworkx:
         h = nx_digraph(g)
         sources = random.Random(seed).sample(range(n), 5)
         want = set(sources).union(*(nx.descendants(h, s) for s in sources))
-        assert reachable_from(g, sources) == want
+        assert reached(g, sources) == sorted(want)
 
 
 class TestCyclePartition:

@@ -1,11 +1,18 @@
+import math
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 
-from netctl.errors import DimensionMismatch, NoPathToTarget, ParseError
+from netctl.errors import (
+    DimensionMismatch,
+    InvalidArgument,
+    NoPathToTarget,
+    ParseError,
+)
 from netctl.exact import DenseSystem
-from netctl.generators import ba_graph
+from netctl.generators import ba_graph, er_digraph
 from netctl.graphs import DiGraph, UnGraph, transpose
 from netctl.observability import (
     DEMO_REACTIONS,
@@ -106,6 +113,35 @@ class TestMinSensors:
             assert rep.multiplicity == prod
             assert is_valid_sensor_set(g, rep.sensors)
 
+    @pytest.mark.parametrize("n, k, seed", [(300, 1.0, 1), (2000, 2.0, 2),
+                                            (5000, 3.0, 3)])
+    def test_roots_match_networkx(self, n, k, seed):
+        # an ER digraph with half of its arcs doubled back has many root
+        # SCCs of more than one node
+        rng = np.random.default_rng(seed)
+        er = er_digraph(n, k, rng)
+        back = rng.random(er.n_edges) < 0.5
+        pairs = sorted(set(zip(er.src.tolist(), er.dst.tolist()))
+                       | set(zip(er.dst[back].tolist(),
+                                 er.src[back].tolist())))
+        g = DiGraph.from_pairs(n, pairs)
+        h = nx.DiGraph(pairs)
+        h.add_nodes_from(range(n))
+        cond = nx.condensation(h)
+        roots = sorted(sorted(cond.nodes[c]["members"]) for c in cond
+                       if cond.in_degree(c) == 0)
+        rep = min_sensors(g)
+        assert rep.root_sccs == roots
+        assert rep.sensors == [r[0] for r in roots]
+        assert rep.pure_products == [r[0] for r in roots if len(r) == 1]
+        assert rep.multiplicity == math.prod(len(r) for r in roots)
+        assert any(len(r) > 1 for r in roots)
+
+    def test_multiplicity_exact_past_int64(self):
+        pairs = [p for i in range(0, 140, 2) for p in ((i, i + 1), (i + 1, i))]
+        rep = min_sensors(DiGraph.from_pairs(140, pairs))
+        assert rep.n_sensors == 70 and rep.multiplicity == 2 ** 70
+
     def test_demo_named_sensor_set(self):
         g = inference_diagram(parse_reactions(DEMO_REACTIONS))
         idx = {lab: i for i, lab in enumerate(g.labels)}
@@ -152,6 +188,32 @@ class TestTargetSensor:
         g = DiGraph.from_pairs(2, [(0, 1)])
         with pytest.raises(NoPathToTarget):
             target_sensor(g, [0])
+
+    def test_target_outside_graph(self):
+        g = DiGraph.from_pairs(3, [(0, 1), (1, 2)])
+        for targets in ([3], [-1], [2, 3]):
+            with pytest.raises(NoPathToTarget):
+                target_sensor(g, targets)
+
+    def test_matches_networkx(self):
+        rng = random.Random(5)
+        for _ in range(100):
+            n = rng.randint(2, 12)
+            pairs = sorted({(rng.randrange(n), rng.randrange(n))
+                            for _ in range(rng.randint(1, 3 * n))})
+            g = DiGraph.from_pairs(n, pairs)
+            h = nx.DiGraph(pairs)
+            h.add_nodes_from(range(n))
+            targets = set(rng.sample(range(n), rng.randint(1, 2)))
+            reach = {v: nx.descendants(h, v) | {v} for v in range(n)}
+            fits = [(len(reach[v]), v) for v in range(n)
+                    if v not in targets and targets <= reach[v]]
+            if not fits:
+                with pytest.raises(NoPathToTarget):
+                    target_sensor(g, targets)
+                continue
+            cost, sensor = min(fits)
+            assert target_sensor(g, targets) == (sensor, cost)
 
     def test_cost_minimized(self):
         # node 3 reaches the target cheaply; node 0 reaches everything
@@ -291,6 +353,8 @@ class TestLuenberger:
         sys = self._sys()
         with pytest.raises(DimensionMismatch):
             luenberger_observe(sys, np.ones((3, 1)), [0, 0], [0, 0], 1.0)
+        with pytest.raises(InvalidArgument):
+            luenberger_observe(sys, np.ones((2, 1)), [0, 0, 0], [0, 0], 1.0)
         no_c = DenseSystem(np.eye(2), np.eye(2))
         with pytest.raises(DimensionMismatch):
             luenberger_observe(no_c, np.ones((2, 1)), [0, 0], [0, 0], 1.0)

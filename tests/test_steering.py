@@ -6,6 +6,7 @@ import pytest
 
 from netctl.errors import (
     InfeasibleConstraints,
+    InvalidArgument,
     InvariantViolation,
     MissingTrajectory,
     NoCompensation,
@@ -29,7 +30,7 @@ from netctl.steering import (
     ogy_stabilize_henon,
     pyragas_feedback,
 )
-from oracles import brute_force_fvs, henon_lyapunov
+from oracles import brute_force_fvs, fvs_rounds_reference, henon_lyapunov
 
 
 def linear_system(a):
@@ -91,6 +92,13 @@ class TestHubler:
         with pytest.raises(SingularB):
             hubler_input(sys, np.ones((2, 2)), lambda t: np.zeros(2),
                          lambda t: np.zeros(2), 1.0)
+
+
+    def test_wrong_x0_length(self):
+        sys = linear_system(np.eye(2))
+        with pytest.raises(InvalidArgument):
+            hubler_input(sys, np.eye(2), lambda t: np.zeros(2),
+                         lambda t: np.zeros(2), 1.0, x0=[0.0, 0.0, 0.0])
 
 
 class TestOgy:
@@ -174,6 +182,14 @@ class TestCompensatory:
             compensatory_perturbation(sys, [-0.5], [1.0],
                                       bounds=([-3.0], [0.0]), budget=10)
 
+    def test_wrong_vector_lengths(self):
+        sys = make_system("double-well")
+        for x0, target, bounds in (([0.5, 1.0], [1.0], None),
+                                   ([0.5], [1.0, 0.0], None),
+                                   ([0.5], [1.0], ([0.0, 0.0], [1.0]))):
+            with pytest.raises(InvalidArgument):
+                compensatory_perturbation(sys, x0, target, bounds=bounds)
+
     def test_flow_matrix_matches_finite_difference(self):
         from netctl.steering import _flow_matrix
         sys = make_system("bistable-gene")
@@ -255,6 +271,19 @@ class TestFvs:
                                   if {s, d}.isdisjoint(removed - {v}))
                 assert v in back and any(nx.has_path(back, w, v)
                                          for w in back.successors(v))
+
+    def test_heuristic_matches_round_reference(self):
+        rng = np.random.default_rng(17)
+        larger = 0
+        for _ in range(400):
+            n = int(rng.integers(2, 40))
+            m = int(rng.uniform(0.5, 3.5) * n)
+            pairs = sorted(set(zip(rng.integers(0, n, m).tolist(),
+                                   rng.integers(0, n, m).tolist())))
+            want = fvs_rounds_reference(n, pairs)
+            assert fvs_find(DiGraph.from_pairs(n, pairs)).nodes == want
+            larger += len(want) >= 3
+        assert larger >= 100
 
     def test_exact_matches_oracle(self):
         rng = random.Random(9)

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from netctl.errors import EmptyDriverSet, InvariantViolation
 from netctl.generators import er_digraph
-from netctl.graphs import DiGraph, reachable_from, scc_decompose, transpose
+from netctl.graphs import DiGraph, reach_mask, transpose
 from netctl.structural import (
     CRITICAL,
     INTERMITTENT,
@@ -110,6 +111,17 @@ class TestStructuralCheck:
             assert ok
 
 
+def root_sccs(g):
+    """Sorted member lists of the root SCCs, by smallest member, from
+    networkx's condensation."""
+    h = nx.DiGraph()
+    h.add_nodes_from(range(g.n_nodes))
+    h.add_edges_from(zip(g.src.tolist(), g.dst.tolist()))
+    cond = nx.condensation(h)
+    return sorted(sorted(cond.nodes[c]["members"]) for c in cond
+                  if cond.in_degree(c) == 0)
+
+
 @st.composite
 def accessible_driver_sets(draw):
     """A digraph and a driver set that reaches every node (it holds a node
@@ -117,9 +129,7 @@ def accessible_driver_sets(draw):
     n = draw(st.integers(2, 8))
     out = [draw(st.sets(st.integers(0, n - 1), max_size=3)) for _ in range(n)]
     g = digraph(n, [(s, d) for s in range(n) for d in sorted(out[s])])
-    scc = scc_decompose(g)
-    drivers = {draw(st.sampled_from(scc.components[c]))
-               for c in scc.root_components()}
+    drivers = {draw(st.sampled_from(members)) for members in root_sccs(g)}
     return g, drivers | draw(st.sets(st.integers(0, n - 1), max_size=1))
 
 
@@ -347,31 +357,28 @@ class TestControlCentrality:
             assert control_centrality(g, controlled) == \
                 control_centrality_reference(n, pairs, controlled), \
                 (pairs, controlled)
-            partly_accessible += len(reachable_from(g, controlled)) < n
+            partly_accessible += not reach_mask(n, g.src, g.dst,
+                                                controlled).all()
         assert partly_accessible >= 300
 
     def test_er_one_node_at_scale(self):
         # a dense cycle cover of this graph would take about 3.2 GB
         g = er_digraph(20_000, 6.0, np.random.default_rng(71))
-        accessible = reachable_from(g, [0])
-        keep = np.zeros(g.n_nodes, dtype=bool)
-        keep[list(accessible)] = True
+        keep = reach_mask(g.n_nodes, g.src, g.dst, [0])
         c = control_centrality(g, [0])
-        assert 1 <= c <= len(accessible)
+        assert 1 <= c <= keep.sum()
         # Lin: the accessible part is structurally controllable from node 0
         # iff the whole of it is controllable
         ok, _ = structural_controllability_check(g.subgraph(keep), [0])
-        assert ok == (c == len(accessible))
+        assert ok == (c == keep.sum())
         assert control_centrality(g, min_actuators(g).actuators) == g.n_nodes
 
 
 def oracle_alpha(g):
     """Maximum number of root SCCs holding an unmatched node, over all
     maximum matchings (exhaustive)."""
-    from netctl.graphs import scc_decompose
-
-    scc = scc_decompose(g)
-    roots = scc.root_components()
+    roots = root_sccs(g)
+    root_of = {v: i for i, members in enumerate(roots) for v in members}
     pairs = [(s, d) for s, d, _ in g.edges]
     maxima, best = maximum_matchings(pairs)
     n = g.n_nodes
@@ -381,7 +388,7 @@ def oracle_alpha(g):
     for m in maxima:
         heads = {d for _, d in m}
         exposed = set(range(n)) - heads
-        hit = {scc.component_of[v] for v in exposed if scc.is_root[scc.component_of[v]]}
+        hit = {root_of[v] for v in exposed if v in root_of}
         alpha = max(alpha, len(hit))
     return alpha, len(roots)
 

@@ -6,6 +6,7 @@ import io
 import json
 import os
 import sys
+import warnings
 
 from .errors import InputError, InvalidArgument, NetctlError, UnknownNode
 
@@ -37,24 +38,21 @@ def _read_graph(path, directed):
     return g
 
 
-def _read_digraph(path):
-    return _read_graph(path, directed=True)
-
-
-def _read_ungraph(path):
-    return _read_graph(path, directed=False)
-
-
 def _read_matrix(path):
     import numpy as np
 
     try:
-        return np.loadtxt(path, ndmin=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # no numbers: reported below
+            m = np.loadtxt(path, ndmin=2)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") \
             from None
     except ValueError as exc:
         raise InputError(f"{path}: not a numeric matrix ({exc})") from None
+    if m.size == 0:
+        raise InputError(f"{path} holds no numbers")
+    return m
 
 
 def _read_vector(text):
@@ -93,15 +91,16 @@ def _indices(g, text):
 
 
 # ---------------------------------------------------------------------------
-# Handlers (one per subcommand; each returns a JSON-ready payload).  Each
-# imports the analysis module it calls, so a run loads only what it uses
-# and `--help` loads neither numpy nor scipy.
+# Handlers (one per subcommand, attached to its subparser in
+# `build_parser`; each returns a JSON-ready payload).  Each imports the
+# analysis module it calls, so a run loads only what it uses and `--help`
+# loads neither numpy nor scipy.
 
 
 def cmd_drivers(args):
     from . import structural
 
-    g = _read_digraph(args.input)
+    g = _read_graph(args.input, directed=True)
     rep = structural.min_driver_set(g)
     return {"n_drivers": rep.n_drivers, "n_d": rep.n_drivers / g.n_nodes,
             "drivers": _labels(g, rep.drivers)}
@@ -110,7 +109,7 @@ def cmd_drivers(args):
 def cmd_check(args):
     from . import structural
 
-    g = _read_digraph(args.input)
+    g = _read_graph(args.input, directed=True)
     ok, witness = structural.structural_controllability_check(
         g, _indices(g, args.drivers))
     return {"controllable": ok, "witness": witness}
@@ -119,7 +118,7 @@ def cmd_check(args):
 def cmd_classify_links(args):
     from . import structural
 
-    g = _read_digraph(args.input)
+    g = _read_graph(args.input, directed=True)
     cls = structural.classify_links(g)
     return dict(cls.fractions)
 
@@ -127,7 +126,7 @@ def cmd_classify_links(args):
 def cmd_classify_nodes(args):
     from . import structural
 
-    g = _read_digraph(args.input)
+    g = _read_graph(args.input, directed=True)
     cls = structural.classify_nodes_deletion(g) if args.deletion \
         else structural.classify_nodes(g)
     return dict(cls.fractions)
@@ -136,7 +135,7 @@ def cmd_classify_nodes(args):
 def cmd_profile(args):
     from . import structural
 
-    g = _read_digraph(args.input)
+    g = _read_graph(args.input, directed=True)
     p = structural.control_profile(g)
     eta_s, eta_e, eta_i = p.eta
     return {"eta_source": eta_s, "eta_external": eta_e,
@@ -146,7 +145,7 @@ def cmd_profile(args):
 def cmd_centrality(args):
     from . import structural
 
-    g = _read_digraph(args.input)
+    g = _read_graph(args.input, directed=True)
     nodes = _indices(g, args.nodes)
     return {"nodes": _labels(g, nodes),
             "control_centrality": structural.control_centrality(g, nodes)}
@@ -155,7 +154,7 @@ def cmd_centrality(args):
 def cmd_actuators(args):
     from . import structural
 
-    g = _read_digraph(args.input)
+    g = _read_graph(args.input, directed=True)
     rep = structural.min_actuators(g)
     return {"n_drivers": rep.n_drivers, "beta": rep.beta, "alpha": rep.alpha,
             "n_actuators": rep.n_actuators,
@@ -165,7 +164,7 @@ def cmd_actuators(args):
 def cmd_switchboard(args):
     from . import structural
 
-    g = _read_digraph(args.input)
+    g = _read_graph(args.input, directed=True)
     drivers = structural.switchboard_drivers(g)
     return {"n_drivers": len(drivers), "drivers": _labels(g, drivers)}
 
@@ -198,7 +197,9 @@ def cmd_energy(args):
                                         _read_vector(args.xf), args.t)
         return {"t_final": args.t, "energy": trace.energy}
     e_min, e_max = energy.energy_bounds(sys_, args.t)
-    return {"t_final": args.t, "e_min": e_min, "e_max": e_max}
+    # JSON has no infinity: an unbounded E_max (singular Gramian) is null
+    return {"t_final": args.t, "e_min": e_min,
+            "e_max": None if e_max == float("inf") else e_max}
 
 
 def cmd_spectrum(args):
@@ -243,7 +244,7 @@ def cmd_target_sensor(args):
 def cmd_mds(args):
     from . import observability
 
-    g = _read_ungraph(args.input)
+    g = _read_graph(args.input, directed=False)
     nodes, exact_flag = observability.mds_solve(g)
     return {"size": len(nodes), "nodes": _labels(g, nodes),
             "exact": exact_flag}
@@ -254,7 +255,7 @@ def cmd_obs_transition(args):
 
     from . import observability
 
-    g = _read_ungraph(args.input)
+    g = _read_graph(args.input, directed=False)
     rng = np.random.default_rng(args.seed)
     frac = observability.observability_transition(g, args.phi, args.trials,
                                                   rng)
@@ -266,8 +267,8 @@ def cmd_observer(args):
 
     from . import exact, observability
 
-    sys_ = exact.DenseSystem(_read_matrix(args.a),
-                             np.zeros((_read_matrix(args.a).shape[0], 1)),
+    a = _read_matrix(args.a)
+    sys_ = exact.DenseSystem(a, np.zeros((a.shape[0], 1)),
                              _read_matrix(args.c))
     t, err = observability.luenberger_observe(
         sys_, _read_matrix(args.l), _read_vector(args.x0),
@@ -336,7 +337,7 @@ def cmd_compensate(args):
 def cmd_fvs(args):
     from . import steering
 
-    g = _read_digraph(args.input)
+    g = _read_graph(args.input, directed=True)
     res = steering.fvs_find(g, args.mode)
     return {"size": len(res.nodes), "nodes": _labels(g, res.nodes),
             "exact": res.exact}
@@ -361,7 +362,7 @@ def cmd_clamp(args):
 def cmd_msf(args):
     from . import collective
 
-    g = _read_ungraph(args.input)
+    g = _read_graph(args.input, directed=False)
     lam2, lam_n, r = collective.msf_eigenratio(g)
     return {"lambda2": lam2, "lambda_n": lam_n, "eigenratio": r}
 
@@ -371,7 +372,7 @@ def cmd_pinning(args):
 
     from . import collective
 
-    g = _read_ungraph(args.input)
+    g = _read_graph(args.input, directed=False)
     lap = collective.laplacian_matrix(g)
     n = g.n_nodes
     k = max(1, int(args.fraction * n))
@@ -450,100 +451,72 @@ def cmd_vicsek_leader(args):
             "steps": args.steps}
 
 
-DISPATCH = {
-    "drivers": cmd_drivers,
-    "check": cmd_check,
-    "classify-links": cmd_classify_links,
-    "classify-nodes": cmd_classify_nodes,
-    "profile": cmd_profile,
-    "centrality": cmd_centrality,
-    "actuators": cmd_actuators,
-    "switchboard": cmd_switchboard,
-    "cavity": cmd_cavity,
-    "exact-nd": cmd_exact_nd,
-    "energy": cmd_energy,
-    "spectrum": cmd_spectrum,
-    "sensors": cmd_sensors,
-    "target-sensor": cmd_target_sensor,
-    "mds": cmd_mds,
-    "obs-transition": cmd_obs_transition,
-    "observer": cmd_observer,
-    "hubler": cmd_hubler,
-    "ogy": cmd_ogy,
-    "pyragas": cmd_pyragas,
-    "compensate": cmd_compensate,
-    "fvs": cmd_fvs,
-    "clamp": cmd_clamp,
-    "msf": cmd_msf,
-    "pinning": cmd_pinning,
-    "pinning-sim": cmd_pinning_sim,
-    "vicsek": cmd_vicsek,
-    "vicsek-leader": cmd_vicsek_leader,
-}
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="netctl",
         description="Network controllability and observability toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, handler):
+        p = sub.add_parser(name)
+        p.set_defaults(handler=handler)
         p.add_argument("--seed", type=int, default=_default_seed())
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default=None)
         return p
 
-    for name in ("drivers", "classify-links", "profile", "actuators",
-                 "switchboard"):
-        add(name).add_argument("--input", required=True)
+    for name, handler in (("drivers", cmd_drivers),
+                          ("classify-links", cmd_classify_links),
+                          ("profile", cmd_profile),
+                          ("actuators", cmd_actuators),
+                          ("switchboard", cmd_switchboard)):
+        add(name, handler).add_argument("--input", required=True)
 
-    p = add("check")
+    p = add("check", cmd_check)
     p.add_argument("--input", required=True)
     p.add_argument("--drivers", required=True)
 
-    p = add("classify-nodes")
+    p = add("classify-nodes", cmd_classify_nodes)
     p.add_argument("--input", required=True)
     p.add_argument("--deletion", action="store_true")
 
-    p = add("centrality")
+    p = add("centrality", cmd_centrality)
     p.add_argument("--input", required=True)
     p.add_argument("--nodes", required=True)
 
-    p = add("cavity")
+    p = add("cavity", cmd_cavity)
     p.add_argument("--dist", choices=("er", "sf-static"), required=True)
     p.add_argument("--kmean", type=float, required=True)
     p.add_argument("--gamma", type=float, default=3.0)
 
-    add("exact-nd").add_argument("--a", required=True)
+    add("exact-nd", cmd_exact_nd).add_argument("--a", required=True)
 
-    p = add("energy")
+    p = add("energy", cmd_energy)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--t", type=float, required=True)
     p.add_argument("--x0")
     p.add_argument("--xf")
 
-    p = add("spectrum")
+    p = add("spectrum", cmd_spectrum)
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--t", type=float, required=True)
 
-    add("sensors").add_argument("--reactions", required=True)
+    add("sensors", cmd_sensors).add_argument("--reactions", required=True)
 
-    p = add("target-sensor")
+    p = add("target-sensor", cmd_target_sensor)
     p.add_argument("--reactions", required=True)
     p.add_argument("--targets", required=True)
 
-    add("mds").add_argument("--input", required=True)
+    add("mds", cmd_mds).add_argument("--input", required=True)
 
-    p = add("obs-transition")
+    p = add("obs-transition", cmd_obs_transition)
     p.add_argument("--input", required=True)
     p.add_argument("--phi", type=float, required=True)
     p.add_argument("--trials", type=int, default=10)
 
-    p = add("observer")
+    p = add("observer", cmd_observer)
     p.add_argument("--a", required=True)
     p.add_argument("--c", required=True)
     p.add_argument("--l", required=True)
@@ -551,23 +524,23 @@ def build_parser():
     p.add_argument("--z0", required=True)
     p.add_argument("--t", type=float, required=True)
 
-    p = add("hubler")
+    p = add("hubler", cmd_hubler)
     p.add_argument("--a", required=True)
     p.add_argument("--t", type=float, default=10.0)
     p.add_argument("--amp", type=float, default=1.0)
     p.add_argument("--freq", type=float, default=1.0)
     p.add_argument("--x0")
 
-    p = add("ogy")
+    p = add("ogy", cmd_ogy)
     p.add_argument("--delta", type=float, default=0.2)
     p.add_argument("--steps", type=int, default=2000)
 
-    p = add("pyragas")
+    p = add("pyragas", cmd_pyragas)
     p.add_argument("--k", type=float, default=0.2)
     p.add_argument("--tau", type=float, default=5.88)
     p.add_argument("--t", type=float, default=200.0)
 
-    p = add("compensate")
+    p = add("compensate", cmd_compensate)
     p.add_argument("--system", default="double-well")
     p.add_argument("--x0", required=True)
     p.add_argument("--target", required=True)
@@ -575,16 +548,16 @@ def build_parser():
     p.add_argument("--hi")
     p.add_argument("--budget", type=int, default=20)
 
-    p = add("fvs")
+    p = add("fvs", cmd_fvs)
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=("exact", "heuristic"),
                    default="heuristic")
 
-    add("clamp").add_argument("--t", type=float, default=25.0)
+    add("clamp", cmd_clamp).add_argument("--t", type=float, default=25.0)
 
-    add("msf").add_argument("--input", required=True)
+    add("msf", cmd_msf).add_argument("--input", required=True)
 
-    p = add("pinning")
+    p = add("pinning", cmd_pinning)
     p.add_argument("--input", required=True)
     p.add_argument("--fraction", type=float, default=0.1)
     p.add_argument("--kappa", type=float, default=5.0)
@@ -592,7 +565,7 @@ def build_parser():
     p.add_argument("--strategy", choices=("random", "degree"),
                    default="random")
 
-    p = add("pinning-sim")
+    p = add("pinning-sim", cmd_pinning_sim)
     p.add_argument("--nodes", type=int, default=10)
     p.add_argument("--kappa", type=float, default=0.1)
     p.add_argument("--sigma", type=float, default=1.0)
@@ -600,7 +573,7 @@ def build_parser():
     p.add_argument("--adaptive", action="store_true")
     p.add_argument("--q", type=float, default=1.0)
 
-    p = add("vicsek")
+    p = add("vicsek", cmd_vicsek)
     p.add_argument("--n", type=int, default=300)
     p.add_argument("--l", type=float, default=5.0)
     p.add_argument("--v0", type=float, default=0.03)
@@ -610,7 +583,7 @@ def build_parser():
     p.add_argument("--seeds", type=int, default=1)
     p.add_argument("--jobs", type=int, default=1)
 
-    p = add("vicsek-leader")
+    p = add("vicsek-leader", cmd_vicsek_leader)
     p.add_argument("--n", type=int, default=30)
     p.add_argument("--l", type=float, default=1.0)
     p.add_argument("--v0", type=float, default=0.03)
@@ -654,7 +627,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        payload = DISPATCH[args.command](args)
+        payload = args.handler(args)
     except NetctlError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -45,35 +45,41 @@ def gramian(sys: DenseSystem, t_final: float) -> GramianResult:
     """
     from scipy.linalg import expm
 
-    if t_final <= 0:
-        raise InvalidArgument("horizon must be positive")
+    if not 0 < t_final < math.inf:
+        raise InvalidArgument("horizon must be positive and finite")
     a, b = sys.a, sys.b
     n = sys.n
-    # the augmented exponential contains e^{-At}, which loses accuracy for
-    # stable A over long horizons; halve the step until ||A|| t is modest
-    # and rebuild with W(2t) = W(t) + e^{At} W(t) e^{A^T t}
-    norm_a = np.linalg.norm(a, 2)
-    doublings = 0
-    t_step = t_final
-    while norm_a * t_step > 2.0:
-        t_step *= 0.5
-        doublings += 1
-    m = np.zeros((2 * n, 2 * n))
-    m[:n, :n] = -a
-    m[:n, n:] = b @ b.T
-    m[n:, n:] = a.T
-    f = expm(m * t_step)
-    w = f[n:, n:].T @ f[:n, n:]
-    w = 0.5 * (w + w.T)
-    e_step = expm(a * t_step)
-    for _ in range(doublings):
-        w = w + e_step @ w @ e_step.T
+    # overflow shows up as non-finite entries, checked after the block
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the augmented exponential contains e^{-At}, which loses accuracy
+        # for stable A over long horizons; halve the step until ||A|| t is
+        # modest and rebuild with W(2t) = W(t) + e^{At} W(t) e^{A^T t}
+        norm_a = np.linalg.norm(a, 2)
+        doublings = 0
+        t_step = t_final
+        while norm_a * t_step > 2.0:
+            t_step *= 0.5
+            doublings += 1
+        m = np.zeros((2 * n, 2 * n))
+        m[:n, :n] = -a
+        m[:n, n:] = b @ b.T
+        m[n:, n:] = a.T
+        f = expm(m * t_step)
+        w = f[n:, n:].T @ f[:n, n:]
         w = 0.5 * (w + w.T)
-        e_step = e_step @ e_step
-    e_neg = expm(-a * t_final)
-    h = e_neg @ w @ e_neg.T
-    h = 0.5 * (h + h.T)
-    eta = np.linalg.eigvalsh(h)
+        e_step = expm(a * t_step)
+        for _ in range(doublings):
+            w = w + e_step @ w @ e_step.T
+            w = 0.5 * (w + w.T)
+            e_step = e_step @ e_step
+        e_neg = expm(-a * t_final)
+        h = e_neg @ w @ e_neg.T
+        h = 0.5 * (h + h.T)
+    if not np.isfinite(w).all():
+        raise InvalidArgument("the Gramian overflows at this horizon")
+    # eigvalsh returns arbitrary numbers for a matrix that holds NaN
+    eta = np.linalg.eigvalsh(h) if np.isfinite(h).all() \
+        else np.full(n, np.nan)
     cond = float(np.linalg.cond(w))
     if cond > 1e12:
         warnings.warn(
@@ -110,11 +116,9 @@ def min_energy_input(
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)
         gr = gramian(sys, t_final)
-    w_eig = np.linalg.eigvalsh(gr.w)
-    if w_eig[0] <= _SINGULAR_ETA * max(1.0, w_eig[-1]):
-        raise SingularGramian(
-            f"Gramian numerically singular (min eigenvalue {w_eig[0]:.3e})"
-        )
+    if gr.singular:
+        raise SingularGramian(f"Gramian numerically singular (min eigenvalue "
+                              f"{np.linalg.eigvalsh(gr.w)[0]:.3e})")
     a, b = sys.a, sys.b
     n = sys.n
     e_final = expm(a * t_final)
@@ -140,15 +144,22 @@ def min_energy_input(
     return ControlTrace(t, z[:, n:] @ b, z[:, :n], energy)
 
 
+def _inverse(eta):
+    """1/η for eigenvalues η of H(T), which must be finite and positive."""
+    if not (np.isfinite(eta) & (eta > 0)).all():
+        raise SingularGramian("H(T) has an eigenvalue that is not finite "
+                              "and positive at this horizon")
+    return 1.0 / eta
+
+
 def energy_bounds(sys: DenseSystem, t_final: float):
     """Rayleigh-Ritz bounds for unit-norm targets: E_min = 1/η_max and
     E_max = 1/η_min (inf when the Gramian is singular)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)
         gr = gramian(sys, t_final)
-    e_min = 1.0 / gr.eta[-1]
-    e_max = math.inf if gr.singular else 1.0 / gr.eta[0]
-    return e_min, e_max
+    energies = _inverse(gr.eta[-1:] if gr.singular else gr.eta)
+    return energies[-1], math.inf if gr.singular else energies[0]
 
 
 def energy_spectrum(sys: DenseSystem, t_final: float):
@@ -161,9 +172,9 @@ def energy_spectrum(sys: DenseSystem, t_final: float):
         gr = gramian(sys, t_final)
     if gr.singular:
         raise SingularGramian("energy spectrum undefined for singular Gramian")
+    _inverse(gr.eta)  # H(T) is finite before eigh reads it
     eta, vec = np.linalg.eigh(gr.h)
-    energies = 1.0 / eta[::-1]
-    return energies, vec[:, ::-1]
+    return _inverse(eta[::-1]), vec[:, ::-1]
 
 
 def log_binned_density(samples, n_bins: int = 20):

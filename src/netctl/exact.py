@@ -82,8 +82,12 @@ def kalman_rank(sys: DenseSystem):
 
 def _pbh_scale(a):
     """max(1, ||A||_2): the rank tolerance of the eigenvalue-wise tests is
-    1e-8 times this, and eigenvalues closer than that are one cluster."""
-    return max(1.0, np.linalg.norm(a, 2) if a.size else 0.0)
+    1e-8 times this, and eigenvalues closer than that are one cluster.
+    Past 1e150 the Gram matrices (A - λI)ᴴ(A - λI) overflow."""
+    norm = np.linalg.norm(a, 2) if a.size else 0.0
+    if norm > 1e150:
+        raise InvalidArgument(f"||A||₂ = {norm:.3e} exceeds 1e150")
+    return max(1.0, norm)
 
 
 def _cluster_eigenvalues(eig, tol):

@@ -113,22 +113,12 @@ class DiGraph:
     def n_edges(self):
         return len(self.src)
 
-    def arc_arrays(self):
-        """Edge endpoints as two index arrays (src, dst)."""
-        return self.src, self.dst
-
     def sorted_heads(self):
         """(indptr, heads): the heads of node u's edges, in increasing
         order, are heads[indptr[u]:indptr[u + 1]]; built once."""
         if self._heads is None:
             self._heads = _csr(self.n_nodes, self.src, self.dst)
         return self._heads
-
-    def out_degrees(self):
-        return np.bincount(self.src, minlength=self.n_nodes).tolist()
-
-    def in_degrees(self):
-        return np.bincount(self.dst, minlength=self.n_nodes).tolist()
 
     def adjacency_matrix(self):
         a = np.zeros((self.n_nodes, self.n_nodes))
@@ -145,12 +135,6 @@ class DiGraph:
                            new[self.dst[inside]], self.weight[inside],
                            [lab for lab, k in zip(self.labels, keep.tolist())
                             if k])
-
-    def delete_node(self, v):
-        """Graph with node v removed (labels preserved, indices compacted)."""
-        keep = np.ones(self.n_nodes, dtype=bool)
-        keep[v] = False
-        return self.subgraph(keep)
 
 
 class UnGraph:

@@ -14,6 +14,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InvalidArgument,
+    NonFiniteInput,
     NoPathToTarget,
     ParseError,
 )
@@ -339,6 +340,8 @@ def luenberger_observe(sys, l_gain, x0, z0, t_final: float, n_steps: int = 200):
     z0 = np.asarray(z0, dtype=float)
     if x0.shape != (n,) or z0.shape != (n,):
         raise InvalidArgument(f"x0 and z0 must each have length {n}")
+    if not (np.isfinite(x0).all() and np.isfinite(z0).all()):
+        raise NonFiniteInput("x0 and z0 must be finite")
     big = np.zeros((2 * n, 2 * n))
     big[:n, :n] = a
     big[n:, :n] = l_gain @ c

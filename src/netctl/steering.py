@@ -17,6 +17,7 @@ from .errors import (
     NoCapture,
     NoCompensation,
     NonConvergence,
+    NonFiniteInput,
     SingularB,
     UnknownSystem,
 )
@@ -33,6 +34,10 @@ class OdeSystem:
     jac: Optional[Callable] = None
     params: dict = field(default_factory=dict)
 
+    def free(self, t, x):
+        """ẋ at zero input, as a float array."""
+        return np.asarray(self.f(t, x, np.zeros(self.n)), dtype=float)
+
     def jacobian(self, t, x, u):
         if self.jac is not None:
             return np.asarray(self.jac(t, x, u), dtype=float)
@@ -46,6 +51,15 @@ class OdeSystem:
             fm = np.asarray(self.f(t, x - dx, u), dtype=float)
             cols.append((fp - fm) / (2 * dx[i]))
         return np.column_stack(cols)
+
+
+def _rk4_step(rhs, t, x, h):
+    """One classical Runge-Kutta step of ẋ = rhs(t, x) from (t, x)."""
+    k1 = rhs(t, x)
+    k2 = rhs(t + h / 2, x + h / 2 * k1)
+    k3 = rhs(t + h / 2, x + h / 2 * k2)
+    k4 = rhs(t + h, x + h * k3)
+    return x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 @dataclass
@@ -95,20 +109,20 @@ def hubler_input(sys, b, goal, goal_dot, t_final, x0=None, n_steps=400):
     if abs(np.linalg.det(b)) < 1e-12:
         raise SingularB("input matrix is not invertible")
     b_inv = np.linalg.inv(b)
-    zero_u = np.zeros(sys.n)
 
     def input_at(t):
-        g = np.asarray(goal(t), dtype=float)
         return b_inv @ (np.asarray(goal_dot(t), dtype=float)
-                        - np.asarray(sys.f(t, g, zero_u), dtype=float))
+                        - sys.free(t, np.asarray(goal(t), dtype=float)))
 
     def rhs(t, x):
-        return np.asarray(sys.f(t, x, zero_u), dtype=float) + b @ input_at(t)
+        return sys.free(t, x) + b @ input_at(t)
 
     if x0 is None:
         x0 = goal(0.0)
     elif np.shape(x0) != (sys.n,):
         raise InvalidArgument(f"x0 must have length {sys.n}")
+    elif not np.isfinite(x0).all():
+        raise NonFiniteInput("x0 must be finite")
     t_eval = np.linspace(0.0, t_final, n_steps + 1)
     sol = solve_ivp(rhs, (0.0, t_final), np.asarray(x0, dtype=float),
                     t_eval=t_eval, rtol=1e-6, atol=1e-9)
@@ -219,35 +233,24 @@ def pyragas_feedback(sys, output, k_gain, tau, t_final, x0, dt=0.02):
     dt = tau / n_delay  # snap the step so the delay is a whole number of steps
     n_main = int(round(t_final / dt))
 
-    def rk4(xc, tc, force):
-        k1 = np.asarray(sys.f(tc, xc, force(tc, xc)), dtype=float)
-        k2 = np.asarray(sys.f(tc + dt / 2, xc + dt / 2 * k1,
-                              force(tc + dt / 2, xc + dt / 2 * k1)), float)
-        k3 = np.asarray(sys.f(tc + dt / 2, xc + dt / 2 * k2,
-                              force(tc + dt / 2, xc + dt / 2 * k2)), float)
-        k4 = np.asarray(sys.f(tc + dt, xc + dt * k3,
-                              force(tc + dt, xc + dt * k3)), float)
-        return xc + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-
     zero_u = np.zeros_like(k_gain)
-    free = lambda tc, xc: zero_u
+    free = lambda t, x: np.asarray(sys.f(t, x, zero_u), dtype=float)
 
-    history = [np.asarray(x0, dtype=float)]
+    states = [np.asarray(x0, dtype=float)]  # index k holds x(−τ + k·dt)
     for k in range(n_delay):
-        history.append(rk4(history[-1], -tau + k * dt, free))
-
-    states = list(history)  # index k holds x(−τ + k·dt)
+        states.append(_rk4_step(free, -tau + k * dt, states[-1], dt))
 
     def controlled(tc, xc):
         pos = (tc + tau) / dt - n_delay  # index of t−τ in `states`
         y_del = y_of(_lagrange4(states, pos))
         return k_gain * (y_of(xc) - y_del)
 
+    closed = lambda t, x: np.asarray(sys.f(t, x, controlled(t, x)), float)
     us = []
     for k in range(n_main):
         tc = k * dt
         us.append(controlled(tc, states[-1]))
-        states.append(rk4(states[-1], tc, controlled))
+        states.append(_rk4_step(closed, tc, states[-1], dt))
     us.append(controlled(n_main * dt, states[-1]))
 
     t = np.arange(n_main + 1) * dt
@@ -268,12 +271,10 @@ def close_return_period(sys, x0, t_transient, t_max, dt=0.01, t_min=1.0,
     (period, return_distance)."""
     from scipy.integrate import solve_ivp
 
-    zero_u = np.zeros(sys.n)
-    rhs = lambda t, x: np.asarray(sys.f(t, x, zero_u), dtype=float)
-    ref = solve_ivp(rhs, (0.0, t_transient), np.asarray(x0, dtype=float),
+    ref = solve_ivp(sys.free, (0.0, t_transient), np.asarray(x0, dtype=float),
                     rtol=1e-9, atol=1e-11).y[:, -1]
     t_eval = np.arange(0.0, t_search + dt / 2, dt)
-    xs = solve_ivp(rhs, (0.0, t_search), ref, t_eval=t_eval,
+    xs = solve_ivp(sys.free, (0.0, t_search), ref, t_eval=t_eval,
                    rtol=1e-9, atol=1e-11).y.T
     lo, hi = int(t_min / dt), int(t_max / dt)
     best = (np.inf, lo, 0)
@@ -321,15 +322,15 @@ def compensatory_perturbation(sys, x0, x_target, control_set=None,
     if any(v.shape != (sys.n,) for v in (x0, x_target, lo, hi)):
         raise InvalidArgument(f"x0, the target and the bounds must each "
                               f"have length {sys.n}")
+    if not (np.isfinite(x0).all() and np.isfinite(x_target).all()):
+        raise NonFiniteInput("x0 and the target must be finite")
     if np.any(lo > hi):
         raise InfeasibleConstraints("empty perturbation box")
-    zero_u = np.zeros(sys.n)
-    rhs = lambda t, x: np.asarray(sys.f(t, x, zero_u), dtype=float)
     shift = np.zeros(sys.n)  # cumulative perturbation applied so far
     t_eval = np.linspace(0.0, t_horizon, n_samples + 1)
 
     for it in range(budget + 1):
-        sol = solve_ivp(rhs, (0.0, t_horizon), x0, t_eval=t_eval,
+        sol = solve_ivp(sys.free, (0.0, t_horizon), x0, t_eval=t_eval,
                         rtol=1e-6, atol=1e-9)
         dist = np.linalg.norm(sol.y.T - x_target, axis=1)
         k = int(np.argmin(dist))
@@ -362,14 +363,10 @@ def _flow_matrix(sys, x0, t_c):
     n = sys.n
     if t_c == 0.0:
         return np.eye(n)
-    zero_u = np.zeros(n)
 
     def rhs(t, z):
-        x = z[:n]
-        m = z[n:].reshape(n, n)
-        dx = np.asarray(sys.f(t, x, zero_u), dtype=float)
-        dm = sys.jacobian(t, x, zero_u) @ m
-        return np.concatenate([dx, dm.ravel()])
+        dm = sys.jacobian(t, z[:n], np.zeros(n)) @ z[n:].reshape(n, n)
+        return np.concatenate([sys.free(t, z[:n]), dm.ravel()])
 
     z0 = np.concatenate([np.asarray(x0, dtype=float), np.eye(n).ravel()])
     sol = solve_ivp(rhs, (0.0, t_c), z0, rtol=1e-8, atol=1e-10)
@@ -419,7 +416,7 @@ def fvs_find(g: DiGraph, mode="heuristic") -> FvsResult:
         raise InvalidArgument(f"unknown mode {mode!r}")
 
     n = g.n_nodes
-    src, dst = g.arc_arrays()
+    src, dst = g.src, g.dst
     alive = np.ones(n, dtype=bool)  # False on the nodes in the set
     alive[src[src == dst]] = False
     while True:
@@ -462,14 +459,13 @@ def fvs_clamp(sys, clamp_nodes, times, samples, n_substeps=4):
     if len(times) < 2:
         raise MissingTrajectory("need at least two trajectory samples")
     clamp_nodes = sorted(clamp_nodes)
-    zero_u = np.zeros(sys.n)
 
     def prescribed(t):
         return np.array([np.interp(t, times, samples[:, j])
                          for j in clamp_nodes])
 
     def rhs(t, x):
-        dx = np.asarray(sys.f(t, x, zero_u), dtype=float)
+        dx = sys.free(t, x)
         dx[clamp_nodes] = 0.0
         return dx
 
@@ -481,11 +477,7 @@ def fvs_clamp(sys, clamp_nodes, times, samples, n_substeps=4):
         for j in range(n_substeps):
             tc = times[k] + j * h
             state[clamp_nodes] = prescribed(tc)
-            k1 = rhs(tc, state)
-            k2 = rhs(tc + h / 2, state + h / 2 * k1)
-            k3 = rhs(tc + h / 2, state + h / 2 * k2)
-            k4 = rhs(tc + h, state + h * k3)
-            state = state + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            state = _rk4_step(rhs, tc, state, h)
         state[clamp_nodes] = samples[k + 1, clamp_nodes]
         xs[k + 1] = state
     terminal = float(np.linalg.norm(xs[-1] - samples[-1]))
@@ -564,7 +556,7 @@ def gene_toggle_attractors(a=2.0, h=4.0, tol=1e-12):
             if np.linalg.norm(nxt - x) < tol:
                 break
             x = nxt
-        residual = float(np.linalg.norm(sys.f(0, x, np.zeros(2))))
+        residual = float(np.linalg.norm(sys.free(0, x)))
         if not residual < 1e-9:
             raise NonConvergence(residual, iterations)
         out.append(x)

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import io
@@ -74,16 +75,22 @@ def run_json(capsys, argv):
     return doc
 
 
+def subparsers():
+    """{name: subparser} of the netctl parser."""
+    parser = cli.build_parser()
+    return next(a.choices for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+
+
 class TestDispatch:
     def test_every_subcommand_registered_once(self):
-        assert set(cli.DISPATCH) == EXPECTED_COMMANDS
+        subs = subparsers()
+        assert set(subs) == EXPECTED_COMMANDS
+        for name, sub in subs.items():
+            assert callable(sub.get_default("handler")), name
 
     def test_parser_knows_every_subcommand(self):
-        parser = cli.build_parser()
-        sub = next(a for a in parser._actions
-                   if isinstance(a, type(parser._actions[-1]))
-                   and hasattr(a, "choices") and a.choices)
-        assert set(sub.choices) == EXPECTED_COMMANDS
+        assert set(subparsers()) == EXPECTED_COMMANDS
 
 
 class TestExitCodes:
@@ -194,6 +201,41 @@ class TestTypedErrors:
                                 "--drivers", "0,1,b"])
         assert doc["controllable"] is True
 
+    @pytest.mark.parametrize("argv", [
+        ["observer", "--a", "{a2}", "--c", "{c}", "--l", "{l}", "--t", "1",
+         "--x0", "nan,0", "--z0", "0,0"],
+        ["hubler", "--a", "{a2}", "--x0", "inf,0", "--t", "1"],
+        ["compensate", "--x0", "inf", "--target", "0"],
+    ], ids=" ".join)
+    def test_non_finite_state(self, files, capsys, argv):
+        run_error(capsys, [a.format(**files) for a in argv],
+                  "NonFiniteInput")
+
+    @pytest.mark.parametrize("command", ["energy", "spectrum"])
+    @pytest.mark.parametrize("horizon", ["20", "100", "300", "1e308"])
+    def test_energy_horizon_beyond_double(self, files, tmp_path, capsys,
+                                          command, horizon):
+        # H(T) = e^{-AT} W e^{-AᵀT} loses its small eigenvalues, then
+        # overflows; neither a negative energy nor NaN may be printed
+        b = tmp_path / "b11.mat"
+        np.savetxt(b, np.ones((2, 1)))
+        run_error(capsys, [command, "--a", files["a2"], "--b", str(b),
+                           "--t", horizon], "SingularGramian")
+
+    @pytest.mark.parametrize("command", ["energy", "spectrum", "exact-nd"])
+    def test_huge_entry(self, files, tmp_path, capsys, command):
+        a = tmp_path / "big.mat"
+        np.savetxt(a, np.array([[1e300, 0.0], [0.0, 1.0]]))
+        argv = [command, "--a", str(a)]
+        if command != "exact-nd":
+            argv += ["--b", files["b2"], "--t", "1"]
+        run_error(capsys, argv, "InvalidArgument")
+
+    def test_empty_matrix_file(self, tmp_path, capsys):
+        a = tmp_path / "empty.mat"
+        a.write_text("# nothing\n")
+        run_error(capsys, ["exact-nd", "--a", str(a)], "InputError")
+
     def test_unknown_toy_system(self, capsys):
         run_error(capsys, ["compensate", "--system", "foo", "--x0", "1",
                            "--target", "0"], "UnknownSystem")
@@ -209,6 +251,8 @@ class TestTypedErrors:
         ["cavity", "--dist", "sf-static", "--kmean", "0"],
         ["cavity", "--dist", "sf-static", "--kmean", "4", "--gamma", "1.5"],
         ["energy", "--a", "{a}", "--b", "{b}", "--t", "0"],
+        ["energy", "--a", "{a}", "--b", "{b}", "--t", "nan"],
+        ["spectrum", "--a", "{a}", "--b", "{b}", "--t", "inf"],
         ["spectrum", "--a", "{a}", "--b", "{b}", "--t", "-1"],
         ["pyragas", "--tau", "0"],
         ["hubler", "--a", "{a2}", "--t", "0"],
@@ -331,21 +375,61 @@ FUZZ_VECTOR = st.one_of(st.lists(FUZZ_ENTRY, min_size=3, max_size=3),
     .map(",".join)
 
 
+FUZZ_NUMBER = st.sampled_from(["1", "-2.5", "0", "0.5", "3", "-1"])
+FUZZ_HUGE = st.sampled_from(["1e300", "-1e300"])
+FUZZ_BAD_NUMBER = st.sampled_from(["nan", "inf", "1e309", "x"])
+FUZZ_HORIZON = st.sampled_from(["1", "0.5", "2", "30", "0", "-1", "nan",
+                                "1e308"])
+FUZZ_MATRIX_KINDS = ["small", "huge", "bad-token", "ragged", "wide", "empty"]
+
+
+@st.composite
+def fuzz_matrix_file(draw, n_rows, n_cols, kinds):
+    """Text of an n_rows x n_cols matrix file of the kind drawn from
+    `kinds`: small finite numbers, some of them ±1e300 ("huge"), some nan,
+    inf, 1e309 or x ("bad-token"), a longer last row ("ragged"), one more
+    column ("wide") or no text at all ("empty")."""
+    kind = draw(st.sampled_from(kinds))
+    if kind == "empty":
+        return ""
+    odd = {"huge": FUZZ_HUGE, "bad-token": FUZZ_BAD_NUMBER}.get(kind)
+    number = FUZZ_NUMBER if odd is None else st.one_of(FUZZ_NUMBER, odd)
+    rows = [[draw(number) for _ in range(n_cols + (kind == "wide"))]
+            for _ in range(n_rows)]
+    if kind == "ragged":
+        rows[-1].append("1")
+    return "".join(" ".join(row) + "\n" for row in rows)
+
+
+@st.composite
+def fuzz_system_files(draw):
+    """(A, B) file texts.  A is well formed in half the draws; B in most,
+    with one row per state in most."""
+    n = draw(st.integers(1, 4))
+    b_rows = n if draw(st.integers(0, 3)) else draw(st.integers(1, 5))
+    b_kinds = ["small"] * 10 + FUZZ_MATRIX_KINDS
+    return (draw(fuzz_matrix_file(n, n, ["small"] * 4 + FUZZ_MATRIX_KINDS)),
+            draw(fuzz_matrix_file(b_rows, draw(st.integers(1, 2)), b_kinds)))
+
+
 def run_fuzzed(argv):
     """Runs the CLI; it exits 0 with strict JSON, or 1 with one stderr
-    line, no traceback and no warning (which would print to stderr)."""
+    line, no traceback and no warning (which would print to stderr).
+    Returns the JSON document, or None after an exit 1."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code = cli.main(argv)
     if code == 0:
-        assert strict_json(out.getvalue())["command"] == argv[0]
-    else:
-        assert code == 1
-        assert err.getvalue().count("\n") == 1
-        assert "Traceback" not in err.getvalue()
-        assert not caught, [str(w.message) for w in caught]
+        doc = strict_json(out.getvalue())
+        assert doc["command"] == argv[0]
+        return doc
+    assert code == 1
+    assert err.getvalue().count("\n") == 1
+    assert "Traceback" not in err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    return None
 
 
 class TestFuzzedInput:
@@ -381,6 +465,23 @@ class TestFuzzedInput:
             np.savetxt(b, np.array([[1.0], [0.0], [0.0]]))
             run_fuzzed(["energy", "--a", str(a), "--b", str(b), "--t", "1",
                         f"--x0={x0}", f"--xf={xf}"])
+
+    @settings(max_examples=600, deadline=None, derandomize=True)
+    @given(fuzz_system_files(), FUZZ_HORIZON,
+           st.sampled_from(["exact-nd", "energy", "spectrum"]))
+    def test_matrix_files(self, texts, horizon, command):
+        with tempfile.TemporaryDirectory() as tmp:
+            a, b = Path(tmp) / "a.mat", Path(tmp) / "b.mat"
+            a.write_text(texts[0])
+            b.write_text(texts[1])
+            argv = [command, "--a", str(a)]
+            if command != "exact-nd":
+                argv += ["--b", str(b), f"--t={horizon}"]
+            doc = run_fuzzed(argv)
+        if doc is not None and command != "exact-nd":
+            energies = [doc.get("e_min"), doc.get("e_max")] + \
+                [row["energy"] for row in doc.get("rows", [])]
+            assert all(e > 0 for e in energies if e is not None), energies
 
 
 class TestStructuralCommands:
@@ -482,6 +583,15 @@ class TestAnalyticCommands:
         assert doc["e_min"] > 0
         assert doc["e_max"] >= doc["e_min"]
 
+    def test_energy_singular_gramian_reports_null_emax(self, tmp_path,
+                                                       capsys):
+        a, b = tmp_path / "diag.mat", tmp_path / "b.mat"
+        np.savetxt(a, np.diag([-1.0, -2.0]))
+        np.savetxt(b, np.array([[1.0], [0.0]]))
+        doc = run_json(capsys, ["energy", "--a", str(a), "--b", str(b),
+                                "--t", "1"])
+        assert doc["e_max"] is None and doc["e_min"] > 0
+
     def test_energy_steering(self, files, capsys):
         doc = run_json(capsys, ["energy", "--a", files["a"],
                                 "--b", files["b"], "--t", "1.0",
@@ -544,6 +654,11 @@ class TestSteeringCommands:
                                 "--target", "1", "--lo", "0", "--hi", "3",
                                 "--budget", "40"])
         assert doc["x0_new"][0] > 0
+
+    def test_compensate_infinite_bounds(self, capsys):
+        doc = run_json(capsys, ["compensate", "--x0=-0.5", "--target", "1.0",
+                                "--lo=-inf", "--hi", "inf"])
+        assert doc["x0_new"][0] > -0.5
 
     def test_fvs(self, files, capsys):
         doc = run_json(capsys, ["fvs", "--input", files["ring"],

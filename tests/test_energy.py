@@ -54,6 +54,13 @@ class TestGramian:
         w = gramian(sys, 40.0).w
         assert np.allclose(w, w_inf, rtol=1e-6)
 
+    def test_overflow_and_bad_horizons_raise(self):
+        with pytest.raises(InvalidArgument):
+            gramian(DenseSystem(np.diag([1e300, 1.0]), np.ones((2, 1))), 1.0)
+        for t in (np.nan, np.inf, 0.0, -1.0):
+            with pytest.raises(InvalidArgument):
+                gramian(stable_chain(2), t)
+
     def test_additivity_in_time(self):
         # W(2T) = W(T) + e^{AT} W(T) e^{A^T T}
         sys = stable_chain(3)
@@ -167,6 +174,17 @@ class TestEnergyBounds:
             x0 /= np.linalg.norm(x0)
             tr = min_energy_input(sys, x0, np.zeros(3), 2.0, n_steps=10)
             assert e_min - 1e-10 <= tr.energy <= e_max * (1 + 1e-9)
+
+    def test_horizon_beyond_double_raises(self):
+        # H(T) = e^{-AT} W e^{-AᵀT}: its smallest eigenvalue rounds to
+        # zero or below by T = 20, and H overflows by T = 300
+        sys = DenseSystem(np.array([[0.0, 1.0], [-2.0, -3.0]]),
+                          np.ones((2, 1)))
+        for t in (20.0, 100.0, 300.0):
+            with pytest.raises(SingularGramian):
+                energy_bounds(sys, t)
+            with pytest.raises(SingularGramian):
+                energy_spectrum(sys, t)
 
     def test_singular_reports_infinite_emax(self):
         a = np.array([[0, 0], [0, 0.0]])

@@ -5,6 +5,7 @@ import pytest
 
 from netctl.errors import (
     DimensionMismatch,
+    InvalidArgument,
     InvariantViolation,
     NonFiniteInput,
 )
@@ -75,6 +76,15 @@ class TestKalmanRank:
 
 
 class TestPbhMinDrivers:
+    def test_norm_past_overflow_rejected(self):
+        # (A - λI)ᴴ(A - λI) would overflow; 1e150 itself is still accepted
+        huge = np.diag([1e300, 1.0])
+        with pytest.raises(InvalidArgument):
+            pbh_min_drivers(huge)
+        with pytest.raises(InvalidArgument):
+            pbh_controllable(DenseSystem(huge, np.ones((2, 1))))
+        assert pbh_min_drivers(np.diag([1e150, 1.0]))[0] == 1
+
     def test_symmetric_matches_reference(self):
         rng = np.random.default_rng(11)
         for _ in range(20):

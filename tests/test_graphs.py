@@ -172,7 +172,7 @@ class TestTranspose:
 
 
 def arcs(g):
-    return list(zip(*(a.tolist() for a in g.arc_arrays())))
+    return list(zip(g.src.tolist(), g.dst.tolist()))
 
 
 class TestArcArrays:

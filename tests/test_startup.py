@@ -111,3 +111,19 @@ def test_drivers_loads_only_csgraph_kernels(tmp_path):
     assert "scipy.sparse.csgraph" in got["modules"]
     for unused in ("scipy.integrate", "scipy.optimize", "scipy.spatial"):
         assert unused not in got["modules"]
+
+
+def test_simulations_run_without_scipy():
+    """The fixed-step simulations (RK4, maps, flocking at r = l/2) need no
+    scipy, also where `collective` imports the RK4 step from `steering`."""
+    argvs = [["pyragas"], ["clamp"], ["pinning-sim"],
+             ["ogy", "--steps", "20000"], ["vicsek-leader"]]
+    modules = fresh("import contextlib, io, json, sys\n"
+                    "from netctl.cli import main\n"
+                    f"for argv in {argvs!r}:\n"
+                    "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                    "        if main(argv):\n"
+                    "            sys.exit(f'{argv} failed')\n"
+                    "print(json.dumps(sorted(sys.modules)))")
+    assert "netctl.collective" in modules and "netctl.steering" in modules
+    assert not scipy_modules(modules)

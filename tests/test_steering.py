@@ -42,6 +42,24 @@ def linear_system(a):
     return OdeSystem(n=a.shape[0], f=f, jac=lambda t, x, u: a)
 
 
+class TestRk4Step:
+    def test_fourth_order_on_linear_flow(self):
+        from scipy.linalg import expm
+
+        from netctl.steering import _rk4_step
+        a = np.array([[0.0, 1.0], [-2.0, -0.3]])
+        x0 = np.array([1.0, 0.5])
+        exact = expm(2.0 * a) @ x0
+        errors = []
+        for n_steps in (10, 20, 40, 80):
+            h, x = 2.0 / n_steps, x0
+            for k in range(n_steps):
+                x = _rk4_step(lambda t, x: a @ x, k * h, x, h)
+            errors.append(np.linalg.norm(x - exact))
+        ratios = np.array(errors[:-1]) / np.array(errors[1:])
+        assert ((ratios > 14) & (ratios < 18)).all(), ratios
+
+
 class TestJacobian:
     def test_finite_difference_matches_analytic(self):
         sys = make_system("rossler")

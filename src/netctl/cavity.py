@@ -43,11 +43,11 @@ class SFStaticDist:
     The distribution is a Poisson mixture: node u ∈ (0,1) has rate
     lam(u) = mean (1-a) u^(-a) with a = 1/(gamma-1), which yields
     P(k) ~ k^(-gamma) for large k.  Generating functions are computed by
-    Gauss–Legendre quadrature after the substitution u = t^p (p grows as
-    gamma -> 2 to resolve the integrable singularity at u = 0).
+    400-point Gauss–Legendre quadrature after the substitution u = t^p (p
+    grows as gamma -> 2 to resolve the integrable singularity at u = 0).
     """
 
-    def __init__(self, mean: float, gamma: float, n_points: int = 400):
+    def __init__(self, mean: float, gamma: float):
         if gamma <= 2:
             raise InvalidArgument("gamma must exceed 2")
         if mean <= 0:
@@ -58,7 +58,7 @@ class SFStaticDist:
         # u = t^p flattens the u^(-a) singularity exactly; with this p the
         # transformed mean integrand is constant in t
         p = 1.0 / (1.0 - a)
-        t, wt = np.polynomial.legendre.leggauss(n_points)
+        t, wt = np.polynomial.legendre.leggauss(400)
         t = 0.5 * (t + 1.0)
         wt = 0.5 * wt
         # All node quantities are kept in log space: near u = 0 the rate
@@ -138,20 +138,13 @@ class CavityState:
                 self.w1_hat, self.w2_hat, self.w3_hat)
 
 
-def solve_cavity(
-    dist_in,
-    dist_out,
-    z: float,
-    mixing: float = 0.5,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-):
+def solve_cavity(dist_in, dist_out, z: float, max_iter: int = 100_000):
     """Driver-node fraction for an ensemble with the given in/out degree
-    distributions and mean total degree z, via damped fixed-point
-    iteration of the self-consistency equations.
+    distributions and mean total degree z, via fixed-point iteration of the
+    self-consistency equations, each sweep moving halfway to the update.
 
     Returns (n_d, CavityState).  Raises NonConvergence if the residual
-    stays above tol after max_iter sweeps.
+    stays at or above 1e-10 after max_iter sweeps.
     """
     if z <= 0:
         raise InvalidArgument("mean degree must be positive")
@@ -171,11 +164,11 @@ def solve_cavity(
         n2h = 1.0 - h_hat(1.0 - w1)
         residual = max(abs(n1 - w1), abs(n2 - w2),
                        abs(n1h - w1h), abs(n2h - w2h))
-        w1 = (1.0 - mixing) * w1 + mixing * n1
-        w2 = (1.0 - mixing) * w2 + mixing * n2
-        w1h = (1.0 - mixing) * w1h + mixing * n1h
-        w2h = (1.0 - mixing) * w2h + mixing * n2h
-        if residual < tol:
+        w1 = 0.5 * w1 + 0.5 * n1
+        w2 = 0.5 * w2 + 0.5 * n2
+        w1h = 0.5 * w1h + 0.5 * n1h
+        w2h = 0.5 * w2h + 0.5 * n2h
+        if residual < 1e-10:
             break
     else:
         raise NonConvergence(residual, max_iter)

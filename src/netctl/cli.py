@@ -4,6 +4,7 @@ seeding, and JSON/CSV reports."""
 import argparse
 import io
 import json
+import math
 import os
 import sys
 import warnings
@@ -184,7 +185,9 @@ def cmd_exact_nd(args):
 
     a = _read_matrix(args.a)
     n_d, lam, drivers = exact.pbh_min_drivers(a)
-    return {"n_drivers": n_d, "eigenvalue": complex(lam).real,
+    lam = complex(lam)
+    return {"n_drivers": n_d, "eigenvalue": lam.real,
+            "eigenvalue_imag": lam.imag,
             "drivers": [int(v) for v in drivers]}
 
 
@@ -413,27 +416,19 @@ def cmd_pinning_sim(args):
             "max_gain": float(trace.kappas.max())}
 
 
-def _vicsek_one(params):
-    from . import collective
-
-    n, l, v0, r, eta, steps, seed = params
-    res = collective.vicsek_order_parameter(n, l, v0, r, eta, steps, seed)
-    return {"seed": seed, "phi_mean": res.mean, "phi_stderr": res.stderr}
-
-
 def cmd_vicsek(args):
     import numpy as np
 
+    from . import collective
+
     if args.seeds < 1:
         raise InvalidArgument("need at least one seed")
-    jobs = [(args.n, args.l, args.v0, args.r, args.eta, args.steps, s)
-            for s in range(args.seed, args.seed + args.seeds)]
-    if args.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_vicsek_one, jobs))
-    else:
-        rows = [_vicsek_one(p) for p in jobs]
+    rows = []
+    for seed in range(args.seed, args.seed + args.seeds):
+        res = collective.vicsek_order_parameter(
+            args.n, args.l, args.v0, args.r, args.eta, args.steps, seed)
+        rows.append({"seed": seed, "phi_mean": res.mean,
+                     "phi_stderr": res.stderr})
     means = [row["phi_mean"] for row in rows]
     return {"phi_mean": float(np.mean(means)),
             "phi_stderr": float(np.std(means, ddof=1) / np.sqrt(len(means)))
@@ -581,7 +576,6 @@ def build_parser():
     p.add_argument("--eta", type=float, default=0.1)
     p.add_argument("--steps", type=int, default=300)
     p.add_argument("--seeds", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=1)
 
     p = add("vicsek-leader", cmd_vicsek_leader)
     p.add_argument("--n", type=int, default=30)
@@ -627,6 +621,11 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise InvalidArgument(f"--{name} must be finite")
+        if args.seed < 0:
+            raise InvalidArgument("--seed must not be negative")
         payload = args.handler(args)
     except NetctlError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)

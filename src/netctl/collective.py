@@ -51,7 +51,6 @@ class PinningConfig:
 
 @dataclass
 class PinningTrace:
-    t: np.ndarray
     error: np.ndarray  # max_i ||x_i - s|| over time
     kappas: np.ndarray  # final control gains (evolved in adaptive mode)
 
@@ -91,11 +90,13 @@ def pinning_eigenratio(cfg: PinningConfig):
     return lam2, lam_top, lam_top / lam2
 
 
-def pinning_sync_simulate(cfg, osc, h, x0, s0, t_final, dt=0.01,
-                          adaptive=False, q=1.0):
-    """Integrate the pinned network alongside the reference ṡ = f(s) and
-    report the worst-node deviation.  In adaptive mode the pinned gains
-    grow as κ̇_i = q_i |e_i| until the errors die out."""
+def pinning_sync_simulate(cfg, osc, h, x0, s0, t_final, adaptive=False,
+                          q=1.0):
+    """Integrate the pinned network alongside the reference ṡ = f(s) by RK4
+    steps of 0.01 and report the worst-node deviation.  In adaptive mode
+    the pinned gains grow as κ̇_i = q_i |e_i| until the errors die out."""
+    if t_final < 0:
+        raise InvalidArgument("horizon must not be negative")
     n, dim = cfg.n_nodes, osc.n
     h = np.asarray(h, dtype=float)
     delta = cfg.indicator()
@@ -114,15 +115,19 @@ def pinning_sync_simulate(cfg, osc, h, x0, s0, t_final, dt=0.01,
 
     z = np.concatenate([np.asarray(x0, dtype=float).reshape(m),
                         np.asarray(s0, dtype=float), cfg.kappa])
+    dt = 0.01
     n_steps = int(round(t_final / dt))
-    t = np.arange(n_steps + 1) * dt
     err = np.empty(n_steps + 1)
-    for k in range(n_steps + 1):
-        if k:
-            z = _rk4_step(drift, t[k - 1], z, dt)
-        x, s = z[:m].reshape(n, dim), z[m:m + dim]
-        err[k] = np.linalg.norm(x - s, axis=1).max()
-    return PinningTrace(t=t, error=err, kappas=z[m + dim:])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for k in range(n_steps + 1):
+            if k:
+                z = _rk4_step(drift, (k - 1) * dt, z, dt)
+            x, s = z[:m].reshape(n, dim), z[m:m + dim]
+            err[k] = np.linalg.norm(x - s, axis=1).max()
+    if not np.isfinite(z).all():
+        raise InvalidArgument("the pinned network diverges: its state "
+                              "overflows")
+    return PinningTrace(error=err, kappas=z[m + dim:])
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +223,6 @@ class VicsekResult:
     phi: np.ndarray  # order parameter per recorded step
     mean: float
     stderr: float
-    final: VicsekState
 
 
 def vicsek_order_parameter(n, l, v0, r, eta, steps, seed=0,
@@ -227,6 +231,10 @@ def vicsek_order_parameter(n, l, v0, r, eta, steps, seed=0,
         raise InvalidArgument("need at least one agent")
     if steps < 1:
         raise InvalidArgument("need at least one step")
+    if not l > 0:
+        raise InvalidArgument("box side must be positive")
+    if eta < 0:
+        raise InvalidArgument("noise amplitude must not be negative")
     if transient is None:
         transient = steps // 2
     if not 0 <= transient < steps:
@@ -239,8 +247,7 @@ def vicsek_order_parameter(n, l, v0, r, eta, steps, seed=0,
         phi[k + 1] = order_parameter(state)
     tail = phi[transient:]
     return VicsekResult(phi=phi, mean=float(tail.mean()),
-                        stderr=float(tail.std(ddof=1) / np.sqrt(len(tail))),
-                        final=state)
+                        stderr=float(tail.std(ddof=1) / np.sqrt(len(tail))))
 
 
 def vicsek_leader_run(n, l, v0, r, theta0, steps, seed=0, eta=0.0):
@@ -250,6 +257,10 @@ def vicsek_leader_run(n, l, v0, r, theta0, steps, seed=0, eta=0.0):
     the trace of max_i |θ_i − θ₀|."""
     if n < 1:
         raise InvalidArgument("need at least one follower")
+    if steps < 0:
+        raise InvalidArgument("steps must not be negative")
+    if not l > 0:
+        raise InvalidArgument("box side must be positive")
     rng = _step_rng(seed, 0)
     pos = rng.uniform(0.0, l, (n, 2))
     theta = rng.uniform(-np.pi, np.pi, n)

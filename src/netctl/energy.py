@@ -19,14 +19,10 @@ class GramianResult:
     w: np.ndarray  # reachability Gramian W(T)
     h: np.ndarray  # normalized Gramian e^{-AT} W e^{-A^T T}
     eta: np.ndarray  # eigenvalues of H, ascending
-    cond: float  # condition number of W
-
-    @property
-    def singular(self):
-        # controllability is read off W; H's spectrum can span a huge but
-        # legitimate dynamic range for strongly stable systems
-        w_eig = np.linalg.eigvalsh(self.w)
-        return w_eig[0] < _SINGULAR_ETA * max(1.0, w_eig[-1])
+    w_min: float  # smallest eigenvalue of W
+    # w_min < 1e-12 max(1, W's largest eigenvalue); read off W because H's
+    # spectrum can span a huge but legitimate range for strongly stable A
+    singular: bool
 
 
 @dataclass
@@ -86,7 +82,9 @@ def gramian(sys: DenseSystem, t_final: float) -> GramianResult:
             f"Gramian condition number {cond:.3e} exceeds 1e12",
             IllConditionedWarning,
         )
-    return GramianResult(w, h, eta, cond)
+    w_eig = np.linalg.eigvalsh(w)
+    return GramianResult(w, h, eta, w_eig[0],
+                         w_eig[0] < _SINGULAR_ETA * max(1.0, w_eig[-1]))
 
 
 def min_energy_input(
@@ -118,7 +116,7 @@ def min_energy_input(
         gr = gramian(sys, t_final)
     if gr.singular:
         raise SingularGramian(f"Gramian numerically singular (min eigenvalue "
-                              f"{np.linalg.eigvalsh(gr.w)[0]:.3e})")
+                              f"{gr.w_min:.3e})")
     a, b = sys.a, sys.b
     n = sys.n
     e_final = expm(a * t_final)
@@ -144,11 +142,14 @@ def min_energy_input(
     return ControlTrace(t, z[:, n:] @ b, z[:, :n], energy)
 
 
-def _inverse(eta):
-    """1/η for eigenvalues η of H(T), which must be finite and positive."""
-    if not (np.isfinite(eta) & (eta > 0)).all():
+def _inverse(eta, n):
+    """1/η for eigenvalues η of the n×n H(T), among them η_max.  Each must
+    be finite and above n·ε·η_max: a smaller one is rounding noise of η_max,
+    and its inverse can be wrong by tens of orders of magnitude."""
+    if not (np.isfinite(eta)
+            & (eta > n * np.finfo(float).eps * eta.max())).all():
         raise SingularGramian("H(T) has an eigenvalue that is not finite "
-                              "and positive at this horizon")
+                              "or not above n·ε·η_max at this horizon")
     return 1.0 / eta
 
 
@@ -158,7 +159,7 @@ def energy_bounds(sys: DenseSystem, t_final: float):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", IllConditionedWarning)
         gr = gramian(sys, t_final)
-    energies = _inverse(gr.eta[-1:] if gr.singular else gr.eta)
+    energies = _inverse(gr.eta[-1:] if gr.singular else gr.eta, sys.n)
     return energies[-1], math.inf if gr.singular else energies[0]
 
 
@@ -172,9 +173,9 @@ def energy_spectrum(sys: DenseSystem, t_final: float):
         gr = gramian(sys, t_final)
     if gr.singular:
         raise SingularGramian("energy spectrum undefined for singular Gramian")
-    _inverse(gr.eta)  # H(T) is finite before eigh reads it
+    _inverse(gr.eta, sys.n)  # H(T) is finite before eigh reads it
     eta, vec = np.linalg.eigh(gr.h)
-    return _inverse(eta[::-1]), vec[:, ::-1]
+    return _inverse(eta[::-1], sys.n), vec[:, ::-1]
 
 
 def log_binned_density(samples, n_bins: int = 20):

@@ -37,16 +37,11 @@ def poisson_degree_pair(n: int, k_mean: float, rng: np.random.Generator):
     return out_deg, in_deg
 
 
-def config_model_digraph(
-    out_deg,
-    in_deg,
-    rng: np.random.Generator,
-    max_attempts: int = 100,
-) -> DiGraph:
+def config_model_digraph(out_deg, in_deg, rng: np.random.Generator) -> DiGraph:
     """Directed configuration model: out-stubs paired with a uniformly
     shuffled list of in-stubs.  Self-loops and multi-edges are repaired by
-    re-pairing the offending stubs; after max_attempts passes a graph that
-    still contains either raises RejectionFailure."""
+    re-pairing the offending stubs; after 100 passes a graph that still
+    contains either raises RejectionFailure."""
     out_deg = np.asarray(out_deg, dtype=np.int64)
     in_deg = np.asarray(in_deg, dtype=np.int64)
     if out_deg.sum() != in_deg.sum():
@@ -56,7 +51,7 @@ def config_model_digraph(
     dst = np.repeat(np.arange(n), in_deg)
     rng.shuffle(dst)
     m = src.size
-    for _ in range(max_attempts):
+    for _ in range(100):
         codes = src * n + dst
         order = np.argsort(codes, kind="stable")
         sorted_codes = codes[order]
@@ -69,14 +64,13 @@ def config_model_digraph(
         partners = rng.integers(0, m, size=bad.size)
         for b, r in zip(bad, partners):
             dst[b], dst[r] = dst[r], dst[b]
-    raise RejectionFailure(
-        f"configuration model failed after {max_attempts} repair passes"
-    )
+    raise RejectionFailure("configuration model failed after 100 repair "
+                           "passes")
 
 
-def poisson_config_digraph(n, k_mean, rng, max_attempts=100) -> DiGraph:
+def poisson_config_digraph(n, k_mean, rng) -> DiGraph:
     out_deg, in_deg = poisson_degree_pair(n, k_mean, rng)
-    return config_model_digraph(out_deg, in_deg, rng, max_attempts)
+    return config_model_digraph(out_deg, in_deg, rng)
 
 
 def ba_graph(n: int, m: int, rng: np.random.Generator) -> UnGraph:

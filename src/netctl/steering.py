@@ -3,7 +3,7 @@ small parameter kicks or delayed feedback, basin-hopping perturbations, and
 attractor switching by clamping a feedback vertex set."""
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,7 +32,6 @@ class OdeSystem:
     n: int
     f: Callable
     jac: Optional[Callable] = None
-    params: dict = field(default_factory=dict)
 
     def free(self, t, x):
         """ẋ at zero input, as a float array."""
@@ -67,7 +66,6 @@ class HenonParams:
     p: float = 1.4
     b: float = 0.3
     delta: float = 0.2
-    gain: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.delta <= 0:
@@ -88,7 +86,6 @@ class SimTrace:
 class FvsResult:
     nodes: list
     order: list  # topological order of the remainder (acyclicity certificate)
-    minimal: bool
     exact: bool
 
 
@@ -96,7 +93,7 @@ class FvsResult:
 # Open-loop entrainment
 
 
-def hubler_input(sys, b, goal, goal_dot, t_final, x0=None, n_steps=400):
+def hubler_input(sys, b, goal, goal_dot, t_final, x0=None):
     """Drive ẋ = F(x) + B u onto the goal trajectory with the open-loop
     input u(t) = B⁻¹ [ġ(t) − F(g(t))]."""
     from scipy.integrate import solve_ivp
@@ -123,7 +120,7 @@ def hubler_input(sys, b, goal, goal_dot, t_final, x0=None, n_steps=400):
         raise InvalidArgument(f"x0 must have length {sys.n}")
     elif not np.isfinite(x0).all():
         raise NonFiniteInput("x0 must be finite")
-    t_eval = np.linspace(0.0, t_final, n_steps + 1)
+    t_eval = np.linspace(0.0, t_final, 401)
     sol = solve_ivp(rhs, (0.0, t_final), np.asarray(x0, dtype=float),
                     t_eval=t_eval, rtol=1e-6, atol=1e-9)
     u = np.array([input_at(t) for t in t_eval])
@@ -157,15 +154,15 @@ def ogy_gain(hp):
     return -lam_u * f_u / (f_u @ g)
 
 
-def ogy_stabilize_henon(hp, x0=None, n_steps=2000, seed=None):
-    """Stabilize the period-1 saddle with parameter kicks triggered inside
-    the activation radius and capped at 1% of the nominal parameter."""
-    rng = np.random.default_rng(seed)
-    if x0 is None:
-        x0 = rng.uniform(-0.5, 0.5, 2)
+def ogy_stabilize_henon(hp, n_steps=2000, seed=None):
+    """Stabilize the period-1 saddle from a seeded random start with kicks
+    of the parameter inside the activation radius, capped at 1% of it."""
+    if n_steps < 1:
+        raise InvalidArgument("need at least one step")
+    x0 = np.random.default_rng(seed).uniform(-0.5, 0.5, 2)
     x_star = henon_fixed_point(hp.p, hp.b)
     target = np.array([x_star, x_star])
-    gain = hp.gain if hp.gain is not None else ogy_gain(hp)
+    gain = ogy_gain(hp)
     cap = 0.01 * hp.p
 
     states = np.empty((n_steps + 1, 2))
@@ -217,45 +214,43 @@ def _lagrange4(states, pos):
 
 
 def pyragas_feedback(sys, output, k_gain, tau, t_final, x0, dt=0.02):
-    """Integrate ẋ = f(t, x, u) with u(t) = K [y(t) − y(t−τ)] by fixed-step
-    RK4, interpolating the delayed output from the stored history.  The
+    """Integrate ẋ = f(t, x, u) with u(t) = K [y(t) − y(t−τ)], y = x[output],
+    by fixed-step RK4, interpolating y(t−τ) from the stored history.  The
     history over [−τ, 0] is the uncontrolled flow started at x0."""
     if tau <= 0:
         raise InvalidArgument("delay must be positive")
     k_gain = np.atleast_1d(np.asarray(k_gain, dtype=float))
-    if callable(output):
-        y_of = output
-    else:
-        idx = int(output)
-        y_of = lambda x: x[idx]
 
     n_delay = max(int(round(tau / dt)), 4)
     dt = tau / n_delay  # snap the step so the delay is a whole number of steps
     n_main = int(round(t_final / dt))
-
-    zero_u = np.zeros_like(k_gain)
-    free = lambda t, x: np.asarray(sys.f(t, x, zero_u), dtype=float)
+    if n_main < 1:
+        raise InvalidArgument("horizon must span at least one step")
 
     states = [np.asarray(x0, dtype=float)]  # index k holds x(−τ + k·dt)
     for k in range(n_delay):
-        states.append(_rk4_step(free, -tau + k * dt, states[-1], dt))
+        states.append(_rk4_step(sys.free, -tau + k * dt, states[-1], dt))
 
     def controlled(tc, xc):
         pos = (tc + tau) / dt - n_delay  # index of t−τ in `states`
-        y_del = y_of(_lagrange4(states, pos))
-        return k_gain * (y_of(xc) - y_del)
+        y_del = _lagrange4(states, pos)[output]
+        return k_gain * (xc[output] - y_del)
 
     closed = lambda t, x: np.asarray(sys.f(t, x, controlled(t, x)), float)
     us = []
-    for k in range(n_main):
-        tc = k * dt
-        us.append(controlled(tc, states[-1]))
-        states.append(_rk4_step(closed, tc, states[-1], dt))
-    us.append(controlled(n_main * dt, states[-1]))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for k in range(n_main):
+            tc = k * dt
+            us.append(controlled(tc, states[-1]))
+            states.append(_rk4_step(closed, tc, states[-1], dt))
+        us.append(controlled(n_main * dt, states[-1]))
 
     t = np.arange(n_main + 1) * dt
     xs = np.array(states[n_delay:])
-    ys = np.array([y_of(x) for x in states])
+    if not np.isfinite(xs).all():
+        raise InvalidArgument("the controlled flow diverges: its state "
+                              "overflows")
+    ys = np.array([x[output] for x in states])
     tail = max(1, n_main // 10)
     diff = np.abs(ys[n_delay:] - ys[:-n_delay])
     mismatch = float(diff[-tail:].max())
@@ -299,20 +294,18 @@ def close_return_period(sys, x0, t_transient, t_max, dt=0.01, t_min=1.0,
 # Compensatory perturbations of the initial state
 
 
-def compensatory_perturbation(sys, x0, x_target, control_set=None,
-                              bounds=None, budget=20, kappa=0.05,
-                              t_horizon=20.0, n_samples=400, step_frac=0.1):
-    """Nudge the initial state into the target basin by repeated small
-    corrections along the linearized flow evaluated at the orbit's closest
-    approach to the target.  Returns (new_x0, iterations_used)."""
+def compensatory_perturbation(sys, x0, x_target, bounds=None, budget=20):
+    """Nudge the initial state into the target basin by repeated corrections,
+    each at most a tenth of the initial distance, along the linearized flow
+    at the orbit's closest approach to the target; an orbit within 0.05 of
+    the target over t ∈ [0, 20] is captured.  Returns (new_x0, iterations)."""
     from scipy.integrate import solve_ivp
     from scipy.optimize import lsq_linear
 
     x0 = np.asarray(x0, dtype=float).copy()
     x_target = np.asarray(x_target, dtype=float)
-    if control_set is None:
-        control_set = list(range(sys.n))
-    control_set = sorted(control_set)
+    if budget < 0:
+        raise InvalidArgument("budget must not be negative")
     if bounds is None:
         lo = np.full(sys.n, -np.inf)
         hi = np.full(sys.n, np.inf)
@@ -327,33 +320,31 @@ def compensatory_perturbation(sys, x0, x_target, control_set=None,
     if np.any(lo > hi):
         raise InfeasibleConstraints("empty perturbation box")
     shift = np.zeros(sys.n)  # cumulative perturbation applied so far
-    t_eval = np.linspace(0.0, t_horizon, n_samples + 1)
+    t_eval = np.linspace(0.0, 20.0, 401)
 
     for it in range(budget + 1):
-        sol = solve_ivp(sys.free, (0.0, t_horizon), x0, t_eval=t_eval,
+        sol = solve_ivp(sys.free, (0.0, 20.0), x0, t_eval=t_eval,
                         rtol=1e-6, atol=1e-9)
         dist = np.linalg.norm(sol.y.T - x_target, axis=1)
         k = int(np.argmin(dist))
-        if dist[k] < kappa:
+        if dist[k] < 0.05:
             return x0, it
         if it == budget:
-            raise NoCompensation(f"budget of {budget} iterations exhausted")
+            break
         t_c = t_eval[k]
         m = _flow_matrix(sys, x0, t_c)
         residual = x_target - sol.y[:, k]
-        cap = step_frac * np.linalg.norm(x_target - x0)
-        lb = np.maximum(lo[control_set] - shift[control_set], -cap)
-        ub = np.minimum(hi[control_set] - shift[control_set], cap)
+        cap = 0.1 * np.linalg.norm(x_target - x0)
+        lb = np.maximum(lo - shift, -cap)
+        ub = np.minimum(hi - shift, cap)
         if np.any(lb > ub):
             raise InfeasibleConstraints("bounds leave no admissible step")
-        res = lsq_linear(m[:, control_set], residual, bounds=(lb, ub))
-        delta = np.zeros(sys.n)
-        delta[control_set] = res.x
+        delta = lsq_linear(m, residual, bounds=(lb, ub)).x
         if np.linalg.norm(delta) < 1e-12:
             raise NoCompensation("no admissible perturbation makes progress")
         x0 = x0 + delta
         shift = shift + delta
-    raise NoCompensation("unreachable")
+    raise NoCompensation(f"budget of {budget} iterations exhausted")
 
 
 def _flow_matrix(sys, x0, t_c):
@@ -410,7 +401,7 @@ def fvs_find(g: DiGraph, mode="heuristic") -> FvsResult:
                 order = _topo_order(g, set(combo))
                 if order is not None:
                     return FvsResult(nodes=sorted(combo), order=order,
-                                     minimal=True, exact=True)
+                                     exact=True)
         raise InvariantViolation("removing all nodes always leaves a DAG")
     if mode != "heuristic":
         raise InvalidArgument(f"unknown mode {mode!r}")
@@ -446,10 +437,10 @@ def fvs_find(g: DiGraph, mode="heuristic") -> FvsResult:
     order = _topo_order(g, fvs)
     if order is None:
         raise InvariantViolation("feedback vertex set leaves a cycle")
-    return FvsResult(nodes=sorted(fvs), order=order, minimal=True, exact=False)
+    return FvsResult(nodes=sorted(fvs), order=order, exact=False)
 
 
-def fvs_clamp(sys, clamp_nodes, times, samples, n_substeps=4):
+def fvs_clamp(sys, clamp_nodes, times, samples):
     """Override the clamped coordinates with a prescribed trajectory while
     integrating the rest; reports terminal distance to the final sample."""
     times = np.asarray(times, dtype=float)
@@ -473,8 +464,8 @@ def fvs_clamp(sys, clamp_nodes, times, samples, n_substeps=4):
     xs[0] = samples[0]
     state = samples[0].copy()
     for k in range(len(times) - 1):
-        h = (times[k + 1] - times[k]) / n_substeps
-        for j in range(n_substeps):
+        h = (times[k + 1] - times[k]) / 4  # four RK4 steps per sample
+        for j in range(4):
             tc = times[k] + j * h
             state[clamp_nodes] = prescribed(tc)
             state = _rk4_step(rhs, tc, state, h)
@@ -488,7 +479,9 @@ def fvs_clamp(sys, clamp_nodes, times, samples, n_substeps=4):
 # Toy systems
 
 
-def _rossler(a=0.2, b=0.2, c=5.7):
+def _rossler():
+    a, b, c = 0.2, 0.2, 5.7
+
     def f(t, x, u):
         drive = np.zeros(3)
         drive[:len(u)] = u
@@ -500,7 +493,7 @@ def _rossler(a=0.2, b=0.2, c=5.7):
                          [1.0, a, 0.0],
                          [x[2], 0.0, x[0] - c]])
 
-    return OdeSystem(n=3, f=f, jac=jac, params={"a": a, "b": b, "c": c})
+    return OdeSystem(n=3, f=f, jac=jac)
 
 
 def _bistable_gene(a=2.0, h=4.0):
@@ -515,7 +508,7 @@ def _bistable_gene(a=2.0, h=4.0):
         d10 = -a * h * x[0] ** (h - 1) / (1.0 + x[0] ** h) ** 2
         return np.array([[-1.0, d01], [d10, -1.0]])
 
-    return OdeSystem(n=2, f=f, jac=jac, params={"a": a, "h": h})
+    return OdeSystem(n=2, f=f, jac=jac)
 
 
 def _double_well():
@@ -535,16 +528,16 @@ _TOYS = {
 }
 
 
-def make_system(name, **overrides) -> OdeSystem:
+def make_system(name) -> OdeSystem:
     try:
         factory = _TOYS[name]
     except KeyError:
         raise UnknownSystem(f"unknown toy system {name!r}; "
                             f"choices: {sorted(_TOYS)}") from None
-    return factory(**overrides)
+    return factory()
 
 
-def gene_toggle_attractors(a=2.0, h=4.0, tol=1e-12):
+def gene_toggle_attractors(a=2.0, h=4.0):
     """The two stable states of the toggle, found by fixed-point iteration
     from the two biased corners."""
     sys = _bistable_gene(a, h)
@@ -553,7 +546,7 @@ def gene_toggle_attractors(a=2.0, h=4.0, tol=1e-12):
         x = start
         for iterations in range(1, 10001):
             nxt = np.array([a / (1.0 + x[1] ** h), a / (1.0 + x[0] ** h)])
-            if np.linalg.norm(nxt - x) < tol:
+            if np.linalg.norm(nxt - x) < 1e-12:
                 break
             x = nxt
         residual = float(np.linalg.norm(sys.free(0, x)))

@@ -51,7 +51,6 @@ class NodeClass:
 @dataclass
 class ControlProfile:
     n_sources: int
-    n_sinks: int
     n_external: int
     n_internal: int
     eta: tuple  # (eta_s, eta_e, eta_i)
@@ -217,7 +216,7 @@ def control_profile(g: DiGraph) -> ControlProfile:
     n_t = n - np.count_nonzero(np.bincount(g.src, minlength=n))
     n_e = max(0, n_t - n_s)
     n_i = n_d - n_s - n_e
-    return ControlProfile(n_s, n_t, n_e, n_i,
+    return ControlProfile(n_s, n_e, n_i,
                           (n_s / n, n_e / n, n_i / n) if n else (0.0,) * 3)
 
 

@@ -388,7 +388,8 @@ def cmd_pinning(args):
                                   "most 1")
         rng = np.random.default_rng(args.seed)
         pinned = list(rng.choice(n, k, replace=False))
-    cfg = collective.PinningConfig(args.sigma, args.kappa, pinned, lap)
+    # the eigenratio does not depend on the coupling strength σ
+    cfg = collective.PinningConfig(1.0, args.kappa, pinned, lap)
     lam2, lam_top, r = collective.pinning_eigenratio(cfg)
     return {"lambda2": lam2, "lambda_top": lam_top, "eigenratio": r,
             "pinned": sorted(int(v) for v in pinned)}
@@ -423,6 +424,9 @@ def cmd_vicsek(args):
 
     if args.seeds < 1:
         raise InvalidArgument("need at least one seed")
+    if args.seed + args.seeds > 2 ** 64:
+        raise InvalidArgument("the last seed, --seed + --seeds - 1, must "
+                              "not pass 2**64 - 1")
     rows = []
     for seed in range(args.seed, args.seed + args.seeds):
         res = collective.vicsek_order_parameter(
@@ -556,7 +560,6 @@ def build_parser():
     p.add_argument("--input", required=True)
     p.add_argument("--fraction", type=float, default=0.1)
     p.add_argument("--kappa", type=float, default=5.0)
-    p.add_argument("--sigma", type=float, default=1.0)
     p.add_argument("--strategy", choices=("random", "degree"),
                    default="random")
 
@@ -624,11 +627,16 @@ def main(argv=None):
         for name, value in vars(args).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise InvalidArgument(f"--{name} must be finite")
-        if args.seed < 0:
-            raise InvalidArgument("--seed must not be negative")
+        # the flocking streams take the seed as one unsigned 64-bit word
+        if not 0 <= args.seed < 2 ** 64:
+            raise InvalidArgument("--seed must lie in 0..2**64 - 1")
         payload = args.handler(args)
     except NetctlError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy's message names the size it could not allocate
+        print(f"MemoryError: {exc}", file=sys.stderr)
         return 1
     text = _render(payload, args.format, args.command)
     if args.output:

@@ -94,7 +94,9 @@ def pinning_sync_simulate(cfg, osc, h, x0, s0, t_final, adaptive=False,
                           q=1.0):
     """Integrate the pinned network alongside the reference ṡ = f(s) by RK4
     steps of 0.01 and report the worst-node deviation.  In adaptive mode
-    the pinned gains grow as κ̇_i = q_i |e_i| until the errors die out."""
+    the pinned gains grow as κ̇_i = q_i |e_i| until the errors die out.
+    `osc.free` takes the node states and the reference together, as the
+    n + 1 columns of one (dim, n + 1) array."""
     if t_final < 0:
         raise InvalidArgument("horizon must not be negative")
     n, dim = cfg.n_nodes, osc.n
@@ -105,13 +107,13 @@ def pinning_sync_simulate(cfg, osc, h, x0, s0, t_final, adaptive=False,
 
     def drift(t, z):
         xc, sc, kc = z[:m].reshape(n, dim), z[m:m + dim], z[m + dim:]
-        f_nodes = np.array([osc.free(0.0, row) for row in xc])
+        f_all = osc.free(0.0, z[:m + dim].reshape(n + 1, dim).T).T
         coupling = -cfg.sigma * cfg.coupling @ (xc @ h.T)
         control = (cfg.sigma * (delta * kc))[:, None] * ((sc - xc) @ h.T)
         dk = q * np.linalg.norm(xc - sc, axis=1) * delta if adaptive \
             else np.zeros(n)
-        return np.concatenate([(f_nodes + coupling + control).ravel(),
-                               osc.free(0.0, sc), dk])
+        return np.concatenate([(f_all[:n] + coupling + control).ravel(),
+                               f_all[n], dk])
 
     z = np.concatenate([np.asarray(x0, dtype=float).reshape(m),
                         np.asarray(s0, dtype=float), cfg.kappa])

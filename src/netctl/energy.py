@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import (IllConditionedWarning, InvalidArgument, NonFiniteInput,
                      SingularGramian)
-from .exact import DenseSystem
+from .exact import DenseSystem, _expm
 
 _SINGULAR_ETA = 1e-12
 
@@ -39,8 +39,6 @@ def gramian(sys: DenseSystem, t_final: float) -> GramianResult:
     Evaluated through the augmented matrix exponential
     exp([[-A, BBᵀ], [0, Aᵀ]] T): the integral equals F22ᵀ F12.
     """
-    from scipy.linalg import expm
-
     if not 0 < t_final < math.inf:
         raise InvalidArgument("horizon must be positive and finite")
     a, b = sys.a, sys.b
@@ -60,15 +58,15 @@ def gramian(sys: DenseSystem, t_final: float) -> GramianResult:
         m[:n, :n] = -a
         m[:n, n:] = b @ b.T
         m[n:, n:] = a.T
-        f = expm(m * t_step)
+        f = _expm(m * t_step)
         w = f[n:, n:].T @ f[:n, n:]
         w = 0.5 * (w + w.T)
-        e_step = expm(a * t_step)
+        e_step = _expm(a * t_step)
         for _ in range(doublings):
             w = w + e_step @ w @ e_step.T
             w = 0.5 * (w + w.T)
             e_step = e_step @ e_step
-        e_neg = expm(-a * t_final)
+        e_neg = _expm(-a * t_final)
         h = e_neg @ w @ e_neg.T
         h = 0.5 * (h + h.T)
     if not np.isfinite(w).all():
@@ -101,8 +99,6 @@ def min_energy_input(
     z' = [[A, BBᵀ], [0, -Aᵀ]] z for z = [x; p], so one exponential of
     the grid step propagates both exactly from grid point to grid point.
     """
-    from scipy.linalg import expm
-
     x_i = np.asarray(x_i, dtype=float)
     x_f = np.asarray(x_f, dtype=float)
     if x_i.shape != (sys.n,) or x_f.shape != (sys.n,):
@@ -119,7 +115,7 @@ def min_energy_input(
                               f"{gr.w_min:.3e})")
     a, b = sys.a, sys.b
     n = sys.n
-    e_final = expm(a * t_final)
+    e_final = _expm(a * t_final)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         v_f = x_f - e_final @ x_i
         alpha = np.linalg.solve(gr.w, v_f)
@@ -132,7 +128,7 @@ def min_energy_input(
     m[:n, :n] = a
     m[:n, n:] = b @ b.T
     m[n:, n:] = -a.T
-    step = expm(m * (t_final / n_steps))
+    step = _expm(m * (t_final / n_steps))
     z = np.empty((n_steps + 1, 2 * n))
     z[0, :n] = x_i
     z[0, n:] = e_final.T @ alpha

@@ -1,8 +1,10 @@
 """Numeric linear-algebra controllability: Kalman rank and the
-eigenvalue-wise (PBH) minimum driver count with driver selection.
+eigenvalue-wise (PBH) minimum driver count with driver selection, plus
+the matrix exponential that the Gramian and the observer use.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +51,45 @@ class DenseSystem:
     @property
     def n(self):
         return self.a.shape[0]
+
+
+# Coefficients of the degree-13 Padé approximant of e^x, and the 1-norm
+# up to which it meets double precision without scaling (Higham, SIAM J.
+# Matrix Anal. Appl. 26, 1179, 2005)
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
+
+
+def _expm(a):
+    """e^A of a square matrix by scaling and squaring: A is scaled by 2^-s
+    until its 1-norm is at most θ₁₃, the degree-13 Padé approximant is
+    evaluated with one solve, and the result is squared s times.
+
+    A with a non-finite entry gives an all-NaN matrix; callers check the
+    result, which is also where overflow in the squarings shows."""
+    a = np.asarray(a, dtype=float)
+    norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    if not math.isfinite(norm):
+        return np.full(a.shape, np.nan)
+    s = math.ceil(math.log2(norm / _THETA13)) if norm > _THETA13 else 0
+    b = _PADE13
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = a * 0.5 ** s
+        ident = np.eye(a.shape[0])
+        a2 = a @ a
+        a4 = a2 @ a2
+        a6 = a4 @ a2
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+        r = np.linalg.solve(v - u, v + u)
+        for _ in range(s):
+            r = r @ r
+    return r
 
 
 def _matrix_rank(m, tol=None):

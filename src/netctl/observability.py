@@ -327,7 +327,7 @@ def observability_transition(
 def luenberger_observe(sys, l_gain, x0, z0, t_final: float, n_steps: int = 200):
     """Co-simulate plant and observer; the observer corrects its copy of
     the dynamics with the output mismatch.  Returns (t, ||x - z||)."""
-    from scipy.linalg import expm
+    from .exact import _expm
 
     if sys.c is None:
         raise DimensionMismatch("system needs an output matrix C")
@@ -347,7 +347,7 @@ def luenberger_observe(sys, l_gain, x0, z0, t_final: float, n_steps: int = 200):
     big[n:, :n] = l_gain @ c
     big[n:, n:] = a - l_gain @ c
     t = np.linspace(0.0, t_final, n_steps + 1)
-    step = expm(big * (t[1] - t[0])) if n_steps else np.eye(2 * n)
+    step = _expm(big * (t[1] - t[0])) if n_steps else np.eye(2 * n)
     state = np.concatenate([x0, z0])
     errs = [float(np.linalg.norm(x0 - z0))]
     for _ in range(n_steps):

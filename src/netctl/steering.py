@@ -34,8 +34,9 @@ class OdeSystem:
     jac: Optional[Callable] = None
 
     def free(self, t, x):
-        """ẋ at zero input, as a float array."""
-        return np.asarray(self.f(t, x, np.zeros(self.n)), dtype=float)
+        """ẋ at zero input, as a float array.  Where f allows it, x may hold
+        one state per column, (n, k), and ẋ then has the same shape."""
+        return np.asarray(self.f(t, x, np.zeros(np.shape(x))), dtype=float)
 
     def jacobian(self, t, x, u):
         if self.jac is not None:
@@ -483,7 +484,7 @@ def _rossler():
     a, b, c = 0.2, 0.2, 5.7
 
     def f(t, x, u):
-        drive = np.zeros(3)
+        drive = np.zeros((3,) + np.shape(x)[1:])
         drive[:len(u)] = u
         return np.array([-x[1] - x[2], x[0] + a * x[1],
                          b + x[2] * (x[0] - c)]) + drive

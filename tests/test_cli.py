@@ -118,6 +118,13 @@ class TestExitCodes:
             cli.main(["vicsek", "--jobs", "2"])
         assert e.value.code == 2
 
+    def test_pinning_has_no_sigma_flag(self):
+        # the pinned eigenratio does not depend on σ; the simulation does
+        with pytest.raises(SystemExit) as e:
+            cli.main(["pinning", "--input", "g.edges", "--sigma", "2"])
+        assert e.value.code == 2
+        assert "--sigma" in subparsers()["pinning-sim"]._option_string_actions
+
     def test_missing_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as e:
             cli.main([])
@@ -255,6 +262,11 @@ class TestTypedErrors:
         run_error(capsys, ["compensate", "--system", "foo", "--x0", "1",
                            "--target", "0"], "UnknownSystem")
 
+    def test_allocation_failure(self, capsys):
+        # 2·10¹⁶ time samples (142 PiB), more than any 57-bit address
+        # space: the allocation is refused before any memory is touched
+        run_error(capsys, ["clamp", "--t", "1e15"], "MemoryError")
+
     @pytest.mark.parametrize("argv", [
         ["obs-transition", "--input", "{un}", "--phi", "2"],
         ["obs-transition", "--input", "{un}", "--phi", "0.5",
@@ -288,6 +300,11 @@ class TestTypedErrors:
         ["vicsek", "--n", "0"],
         ["vicsek", "--steps", "0"],
         ["vicsek", "--seeds", "0"],
+        ["vicsek", "--seed", "18446744073709551616"],
+        ["vicsek", "--n", "10", "--steps", "5",
+         "--seed", "18446744073709551615", "--seeds", "2"],
+        ["vicsek-leader", "--seed", "18446744073709551616"],
+        ["ogy", "--seed", "-1"],
     ], ids=" ".join)
     def test_invalid_argument(self, files, tmp_path, capsys, argv):
         long_ring = tmp_path / "long_ring.edges"
@@ -450,8 +467,9 @@ FUZZ_SIMULATIONS = {
 @st.composite
 def fuzz_simulation_argv(draw):
     """argv of a short simulation run with up to three of its numeric
-    flags set to 0 or -1, and float flags also to nan or inf.  Huge finite
-    values are left out: run time and memory grow with some horizons."""
+    flags set to 0 or -1, float flags also to nan or inf and --seed also
+    to 2⁶⁴.  Other huge finite values are left out: run time and memory
+    grow with some horizons."""
     command = draw(st.sampled_from(sorted(FUZZ_SIMULATIONS)))
     flags = [(a.option_strings[0], a.type)
              for a in subparsers()[command]._actions
@@ -459,9 +477,13 @@ def fuzz_simulation_argv(draw):
     chosen = draw(st.lists(st.sampled_from(flags), min_size=1, max_size=3,
                            unique=True))
     ints, floats = ["0", "-1"], ["0", "-1", "nan", "inf"]
-    return [command] + FUZZ_SIMULATIONS[command] + [
-        f"{flag}={draw(st.sampled_from(ints if kind is int else floats))}"
-        for flag, kind in chosen]
+    argv = [command] + FUZZ_SIMULATIONS[command]
+    for flag, kind in chosen:
+        values = ints if kind is int else floats
+        if flag == "--seed":
+            values = values + [str(2 ** 64)]
+        argv.append(f"{flag}={draw(st.sampled_from(values))}")
+    return argv
 
 
 def run_fuzzed(argv):

@@ -11,6 +11,7 @@ from netctl.errors import (
 )
 from netctl.exact import (
     DenseSystem,
+    _expm,
     chain_matrix,
     complete_matrix,
     kalman_rank,
@@ -375,3 +376,67 @@ class TestSelfLoopSweep:
     def test_bad_densities(self):
         with pytest.raises(ValueError):
             self_loop_sweep(np.eye(4), [1.0, 2.0], [0.6, 0.6], [0])
+
+
+class TestExpm:
+    """The scaling-and-squaring exponential against scipy's."""
+
+    @staticmethod
+    def assert_matches_scipy(a, rtol=1e-12):
+        from scipy.linalg import expm
+
+        want = expm(a)
+        got = _expm(a)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= rtol * max(np.abs(want).max(), 1)
+
+    @pytest.mark.parametrize("norm", [1e-8, 1e-3, 0.5, 5.0, 5.4, 20.0, 50.0])
+    @pytest.mark.parametrize("kind", ["normal", "non-normal"])
+    def test_seeded_matrices(self, norm, kind):
+        # norms past θ₁₃ ≈ 5.37 take the scaling and squaring path
+        rng = np.random.default_rng(int(norm * 1e3) % 997)
+        for n in (2, 7, 30, 60):
+            a = rng.normal(size=(n, n))
+            if kind == "non-normal":
+                a = np.triu(a) + 4 * np.eye(n, k=1)
+            else:
+                a = a + a.T
+            a *= norm / np.abs(a).sum(axis=0).max()
+            self.assert_matches_scipy(a)
+
+    def test_small_and_trivial_matrices(self):
+        assert _expm(np.zeros((0, 0))).shape == (0, 0)
+        assert np.allclose(_expm(np.zeros((4, 4))), np.eye(4), rtol=0,
+                           atol=1e-15)
+        assert np.isclose(_expm(np.array([[-3.0]]))[0, 0], np.exp(-3.0),
+                          rtol=1e-14, atol=0)
+        self.assert_matches_scipy(np.array([[2.5]]))
+
+    def test_nilpotent_jordan_block(self):
+        # e^{tN} of the nilpotent shift is the truncated series t^k / k!
+        from math import factorial
+
+        n, t = 6, 3.0
+        got = _expm(t * np.eye(n, k=1))
+        want = sum(t ** k / factorial(k) * np.eye(n, k=k) for k in range(n))
+        assert np.allclose(got, want, rtol=1e-13, atol=0)
+        self.assert_matches_scipy(t * np.eye(n, k=1))
+
+    def test_van_loan_block(self):
+        # the block gramian exponentiates: [[-A, BBᵀ], [0, Aᵀ]] t
+        rng = np.random.default_rng(11)
+        n = 8
+        a = rng.normal(size=(n, n)) - 3 * np.eye(n)
+        b = rng.normal(size=(n, 2))
+        m = np.zeros((2 * n, 2 * n))
+        m[:n, :n] = -a
+        m[:n, n:] = b @ b.T
+        m[n:, n:] = a.T
+        for t in (0.05, 0.4, 2.0):
+            self.assert_matches_scipy(m * t)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_gives_nan(self, bad):
+        a = np.eye(3)
+        a[1, 2] = bad
+        assert np.isnan(_expm(a)).all()

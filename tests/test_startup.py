@@ -127,3 +127,26 @@ def test_simulations_run_without_scipy():
                     "print(json.dumps(sorted(sys.modules)))")
     assert "netctl.collective" in modules and "netctl.steering" in modules
     assert not scipy_modules(modules)
+
+
+def test_energy_spectrum_observer_run_without_scipy(tmp_path, capsys):
+    """The Gramian, the minimum-energy input and the observer exponentiate
+    in numpy."""
+    files = {}
+    for name, text in (("a", "-1 1 0\n0 -2 1\n0 0 -3\n"), ("b", "0\n0\n1\n"),
+                       ("c", "1 0 0\n"), ("l", "1\n1\n1\n")):
+        files[name] = tmp_path / f"{name}.mat"
+        files[name].write_text(text)
+    a, b = str(files["a"]), str(files["b"])
+    for argv in (["energy", "--a", a, "--b", b, "--t", "2"],
+                 ["energy", "--a", a, "--b", b, "--t", "2",
+                  "--x0", "0,0,0", "--xf", "1,0,0"],
+                 ["spectrum", "--a", a, "--b", b, "--t", "2"],
+                 ["observer", "--a", a, "--c", str(files["c"]),
+                  "--l", str(files["l"]), "--x0", "1,0,0", "--z0", "0,0,0",
+                  "--t", "1"]):
+        got = run_fresh(argv)
+        assert got["code"] == 0
+        assert not scipy_modules(got["modules"]), argv
+        assert cli.main(argv) == 0
+        assert got["out"] == capsys.readouterr().out

@@ -326,6 +326,15 @@ class TestToySystems:
         with pytest.raises(KeyError):
             make_system("foo")
 
+    def test_rossler_free_takes_one_state_per_column(self):
+        # pinning_sync_simulate evaluates all its oscillators in one call
+        osc = make_system("rossler")
+        states = np.random.default_rng(2).normal(size=(3, 7)) * 5
+        one_call = osc.free(0.0, states)
+        assert one_call.shape == (3, 7)
+        for k in range(7):
+            assert np.array_equal(one_call[:, k], osc.free(0.0, states[:, k]))
+
     def test_toggle_iteration_without_fixed_point(self):
         # with a Hill exponent of 2 the corner iteration does not settle
         # within its cap

@@ -2,6 +2,7 @@
 seeding, and JSON/CSV reports."""
 
 import argparse
+import functools
 import io
 import json
 import math
@@ -14,8 +15,20 @@ from .errors import InputError, InvalidArgument, NetctlError, UnknownNode
 SCHEMA = "netctl/1"
 
 
-def _default_seed():
-    return int(os.environ.get("NETCTL_SEED", "0"))
+class _Parser(argparse.ArgumentParser):
+    """An unset --seed is taken from NETCTL_SEED (else 0) when the command
+    line is parsed, not when the parser is built, so that one parser
+    serves every call in a process."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if getattr(namespace, "seed", 0) is None:
+            text = os.environ.get("NETCTL_SEED", "0")
+            try:
+                namespace.seed = int(text)
+            except ValueError:
+                self.error(f"NETCTL_SEED: invalid int value: {text!r}")
+        return namespace, extras
 
 
 def _read_text(path):
@@ -327,9 +340,12 @@ def cmd_pyragas(args):
 def cmd_compensate(args):
     from . import steering
 
+    if (args.lo is None) != (args.hi is None):
+        raise InvalidArgument("--lo and --hi bound the perturbation "
+                              "together: give both or neither")
     sys_ = steering.make_system(args.system)
     bounds = None
-    if args.lo is not None and args.hi is not None:
+    if args.lo is not None:
         bounds = (_read_vector(args.lo), _read_vector(args.hi))
     x0p, iters = steering.compensatory_perturbation(
         sys_, _read_vector(args.x0), _read_vector(args.target),
@@ -450,8 +466,10 @@ def cmd_vicsek_leader(args):
             "steps": args.steps}
 
 
+@functools.cache
 def build_parser():
-    parser = argparse.ArgumentParser(
+    """The netctl parser, built once per process."""
+    parser = _Parser(
         prog="netctl",
         description="Network controllability and observability toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -459,7 +477,7 @@ def build_parser():
     def add(name, handler):
         p = sub.add_parser(name)
         p.set_defaults(handler=handler)
-        p.add_argument("--seed", type=int, default=_default_seed())
+        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default=None)
         return p

@@ -24,10 +24,10 @@ class EmptyDriverSet(NetctlError):
 
 
 class NonConvergence(NetctlError):
-    def __init__(self, residual, iterations):
+    def __init__(self, residual, iterations, message=None):
         super().__init__(
-            f"fixed point not reached after {iterations} iterations "
-            f"(residual {residual:.3e})"
+            message or f"fixed point not reached after {iterations} "
+            f"iterations (residual {residual:.3e})"
         )
         self.residual = residual
         self.iterations = iterations

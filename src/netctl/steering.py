@@ -3,6 +3,7 @@ small parameter kicks or delayed feedback, basin-hopping perturbations, and
 attractor switching by clamping a feedback vertex set."""
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -62,6 +63,125 @@ def _rk4_step(rhs, t, x, h):
     return x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+# Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6, 19,
+# 1980): nodes, stage rows, 5th-order weights, error weights (5th minus
+# 4th order, last entry for the first-same-as-last stage) and the
+# coefficients of the free 4th-order interpolant.
+_DP_C = [1/5, 3/10, 4/5, 8/9, 1.0]
+_DP_A = [np.array(row) for row in (
+    [1/5],
+    [3/40, 9/40],
+    [44/45, -56/15, 32/9],
+    [19372/6561, -25360/2187, 64448/6561, -212/729],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656])]
+_DP_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_DP_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525,
+                  1/40])
+_DP_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608,
+     -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933,
+     87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304,
+     -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408,
+     701980252875 / 199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+
+
+def _rms(v):
+    return np.sqrt(v.dot(v)) / v.size ** 0.5
+
+
+def _rk45(rhs, t_final, y0, rtol, atol, t_eval=None):
+    """Integrate ẋ = rhs(t, x) from x(0) = y0 to t = t_final, forward or
+    backward in time, by the Dormand-Prince 5(4) pair with the step control
+    of Hairer, Nørsett & Wanner (Solving ODEs I, sec. II.4): RMS error norm
+    scaled by atol + rtol·|x|, step factors 0.9 / 0.2 / 10, and a minimum
+    step of 10 ulp of t.  The arithmetic is that of scipy's RK45, so it
+    takes the same steps.  Returns the state at t_final or, given times
+    t_eval ordered from 0 towards t_final, one row per time from the
+    4th-order interpolant of the step that covers it."""
+    y = np.asarray(y0, dtype=float)
+    direction = 1.0 if t_final >= 0 else -1.0
+    key = None if t_eval is None else direction * np.asarray(t_eval, float)
+    if t_final == 0:
+        return y.copy() if key is None else np.tile(y, (len(key), 1))
+    span = abs(t_final)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        f = np.asarray(rhs(0.0, y), dtype=float)
+        # initial step
+        scale = atol + np.abs(y) * rtol
+        d0, d1 = _rms(y / scale), _rms(f / scale)
+        h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+        h0 = min(h0, span)
+        f1 = np.asarray(rhs(h0 * direction, y + h0 * direction * f), float)
+        d2 = _rms((f1 - f) / scale) / h0
+        h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 \
+            else (0.01 / max(d1, d2)) ** 0.2
+        h_abs = min(100 * h0, h1, span)
+
+        stages = np.empty((7, y.size))
+        # views reused by every step: the stages so far, as columns
+        columns = [stages[:s].T for s in range(1, 6)]
+        columns_b, columns_e = stages[:-1].T, stages.T
+        rows = []
+        done = 0  # t_eval entries reported so far
+        t = 0.0
+        steps = 0
+        while direction * (t - t_final) < 0:
+            min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+            h_abs = max(h_abs, min_step)
+            rejected = False
+            while True:
+                if h_abs < min_step:
+                    raise NonConvergence(
+                        error_norm, steps,
+                        f"the integration stalls at t = {t:.6g}: its step "
+                        f"fell below 10 ulp after {steps} steps")
+                t_new = t + h_abs * direction
+                if direction * (t_new - t_final) > 0:
+                    t_new = t_final
+                h = t_new - t
+                h_abs = abs(h)
+                stages[0] = f
+                for s, (c, a, k) in enumerate(zip(_DP_C, _DP_A, columns),
+                                              start=1):
+                    stages[s] = rhs(t + c * h, y + np.dot(k, a) * h)
+                y_new = y + h * np.dot(columns_b, _DP_B)
+                f_new = np.asarray(rhs(t + h, y_new), dtype=float)
+                stages[-1] = f_new
+                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+                error_norm = _rms(np.dot(columns_e, _DP_E) * h / scale)
+                if error_norm < 1:
+                    factor = 10.0 if error_norm == 0 else \
+                        min(10.0, 0.9 * error_norm ** -0.2)
+                    h_abs *= min(1.0, factor) if rejected else factor
+                    break
+                if not math.isfinite(error_norm):
+                    raise InvalidArgument("the flow diverges: its state "
+                                          "overflows")
+                h_abs *= max(0.2, 0.9 * error_norm ** -0.2)
+                rejected = True
+            steps += 1
+            if key is not None and done < len(key) \
+                    and key[done] <= direction * t_new:
+                end = int(np.searchsorted(key, direction * t_new, "right"))
+                x = (key[done:end] * direction - t) / h
+                p = np.cumprod(x[None].repeat(4, axis=0), axis=0)
+                block = h * np.dot(columns_e.dot(_DP_P), p)
+                block += y[:, None]
+                rows.append(block)
+                done = end
+            t, y, f = t_new, y_new, f_new
+    out = y if key is None else np.hstack(rows).T
+    if not np.isfinite(out).all():
+        raise InvalidArgument("the flow diverges: its state overflows")
+    return out
+
+
 @dataclass
 class HenonParams:
     p: float = 1.4
@@ -97,8 +217,6 @@ class FvsResult:
 def hubler_input(sys, b, goal, goal_dot, t_final, x0=None):
     """Drive ẋ = F(x) + B u onto the goal trajectory with the open-loop
     input u(t) = B⁻¹ [ġ(t) − F(g(t))]."""
-    from scipy.integrate import solve_ivp
-
     if t_final == 0:
         raise InvalidArgument("horizon must be nonzero")
     b = np.asarray(b, dtype=float)
@@ -122,10 +240,9 @@ def hubler_input(sys, b, goal, goal_dot, t_final, x0=None):
     elif not np.isfinite(x0).all():
         raise NonFiniteInput("x0 must be finite")
     t_eval = np.linspace(0.0, t_final, 401)
-    sol = solve_ivp(rhs, (0.0, t_final), np.asarray(x0, dtype=float),
-                    t_eval=t_eval, rtol=1e-6, atol=1e-9)
+    xs = _rk45(rhs, t_final, x0, 1e-6, 1e-9, t_eval)
     u = np.array([input_at(t) for t in t_eval])
-    return SimTrace(t=t_eval, x=sol.y.T, u=u)
+    return SimTrace(t=t_eval, x=xs, u=u)
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +382,9 @@ def close_return_period(sys, x0, t_transient, t_max, dt=0.01, t_min=1.0,
     with the smallest return distance for lags in [t_min, t_max].  A point
     shadowing the orbit returns almost exactly after one period.  Returns
     (period, return_distance)."""
-    from scipy.integrate import solve_ivp
-
-    ref = solve_ivp(sys.free, (0.0, t_transient), np.asarray(x0, dtype=float),
-                    rtol=1e-9, atol=1e-11).y[:, -1]
+    ref = _rk45(sys.free, t_transient, x0, 1e-9, 1e-11)
     t_eval = np.arange(0.0, t_search + dt / 2, dt)
-    xs = solve_ivp(sys.free, (0.0, t_search), ref, t_eval=t_eval,
-                   rtol=1e-9, atol=1e-11).y.T
+    xs = _rk45(sys.free, t_search, ref, 1e-9, 1e-11, t_eval)
     lo, hi = int(t_min / dt), int(t_max / dt)
     best = (np.inf, lo, 0)
     for lag in range(lo, hi + 1):
@@ -300,9 +413,6 @@ def compensatory_perturbation(sys, x0, x_target, bounds=None, budget=20):
     each at most a tenth of the initial distance, along the linearized flow
     at the orbit's closest approach to the target; an orbit within 0.05 of
     the target over t ∈ [0, 20] is captured.  Returns (new_x0, iterations)."""
-    from scipy.integrate import solve_ivp
-    from scipy.optimize import lsq_linear
-
     x0 = np.asarray(x0, dtype=float).copy()
     x_target = np.asarray(x_target, dtype=float)
     if budget < 0:
@@ -318,15 +428,16 @@ def compensatory_perturbation(sys, x0, x_target, bounds=None, budget=20):
                               f"have length {sys.n}")
     if not (np.isfinite(x0).all() and np.isfinite(x_target).all()):
         raise NonFiniteInput("x0 and the target must be finite")
+    if np.isnan(lo).any() or np.isnan(hi).any():
+        raise InvalidArgument("the bounds must be numbers or ±inf, not NaN")
     if np.any(lo > hi):
         raise InfeasibleConstraints("empty perturbation box")
     shift = np.zeros(sys.n)  # cumulative perturbation applied so far
     t_eval = np.linspace(0.0, 20.0, 401)
 
     for it in range(budget + 1):
-        sol = solve_ivp(sys.free, (0.0, 20.0), x0, t_eval=t_eval,
-                        rtol=1e-6, atol=1e-9)
-        dist = np.linalg.norm(sol.y.T - x_target, axis=1)
+        xs = _rk45(sys.free, 20.0, x0, 1e-6, 1e-9, t_eval)
+        dist = np.linalg.norm(xs - x_target, axis=1)
         k = int(np.argmin(dist))
         if dist[k] < 0.05:
             return x0, it
@@ -334,13 +445,13 @@ def compensatory_perturbation(sys, x0, x_target, bounds=None, budget=20):
             break
         t_c = t_eval[k]
         m = _flow_matrix(sys, x0, t_c)
-        residual = x_target - sol.y[:, k]
+        residual = x_target - xs[k]
         cap = 0.1 * np.linalg.norm(x_target - x0)
         lb = np.maximum(lo - shift, -cap)
         ub = np.minimum(hi - shift, cap)
         if np.any(lb > ub):
             raise InfeasibleConstraints("bounds leave no admissible step")
-        delta = lsq_linear(m, residual, bounds=(lb, ub)).x
+        delta = _bvls(m, residual, lb, ub)
         if np.linalg.norm(delta) < 1e-12:
             raise NoCompensation("no admissible perturbation makes progress")
         x0 = x0 + delta
@@ -350,8 +461,6 @@ def compensatory_perturbation(sys, x0, x_target, bounds=None, budget=20):
 
 def _flow_matrix(sys, x0, t_c):
     """Variational matrix M(t_c) = ∂x(t_c)/∂x(0) along the free orbit."""
-    from scipy.integrate import solve_ivp
-
     n = sys.n
     if t_c == 0.0:
         return np.eye(n)
@@ -361,8 +470,84 @@ def _flow_matrix(sys, x0, t_c):
         return np.concatenate([sys.free(t, z[:n]), dm.ravel()])
 
     z0 = np.concatenate([np.asarray(x0, dtype=float), np.eye(n).ravel()])
-    sol = solve_ivp(rhs, (0.0, t_c), z0, rtol=1e-8, atol=1e-10)
-    return sol.y[n:, -1].reshape(n, n)
+    return _rk45(rhs, t_c, z0, 1e-8, 1e-10)[n:].reshape(n, n)
+
+
+def _bvls(m, r, lb, ub):
+    """Bounded-variable least squares (Stark & Parker, Comput. Stat. 10,
+    129, 1995): x minimising ‖m x − r‖ subject to lb ≤ x ≤ ub, where a bound
+    may be ±inf.  The unconstrained solution is returned when it is
+    feasible; otherwise free variables that leave the box are pinned to it,
+    and each outer step frees the bound variable with the largest KKT
+    violation and solves on the free set, stepping back to the first bound
+    crossed, as in scipy's lsq_linear(method="bvls") with tol 1e-10."""
+    tol = 1e-10
+    x = np.linalg.lstsq(m, r, rcond=-1)[0]
+    if ((x >= lb) & (x <= ub)).all():
+        return x
+    on_bound = np.zeros(len(x))  # -1 at the lower bound, +1 at the upper
+    low, high = x <= lb, x >= ub
+    x[low], on_bound[low] = lb[low], -1
+    x[high], on_bound[high] = ub[high], 1
+
+    def solve_free(free):
+        fixed = m.dot(x * (on_bound != 0))
+        return np.linalg.lstsq(m[:, free], r - fixed, rcond=None)[0]
+
+    def kkt_violation(g):
+        g_kkt = g * on_bound
+        free = on_bound == 0
+        g_kkt[free] = np.abs(g[free])
+        return np.max(g_kkt)
+
+    # start: solve on the free variables, pin those that leave the box,
+    # and repeat until the free solution is feasible
+    free = np.flatnonzero(on_bound == 0)
+    while free.size:
+        z = solve_free(free)
+        lbv, ubv = z < lb[free], z > ub[free]
+        x[free[lbv]], on_bound[free[lbv]] = lb[free[lbv]], -1
+        x[free[ubv]], on_bound[free[ubv]] = ub[free[ubv]], 1
+        inside = ~(lbv | ubv)
+        x[free[inside]] = z[inside]
+        if inside.all():
+            break
+        free = free[inside]
+    res = m.dot(x) - r
+    cost = 0.5 * np.dot(res, res)
+    g = m.T.dot(res)
+    for _ in range(len(x)):
+        if kkt_violation(g) < tol:
+            break
+        on_bound[np.argmax(g * on_bound)] = 0
+        while True:
+            free = np.flatnonzero(on_bound == 0)
+            x_free, lb_free, ub_free = x[free], lb[free], ub[free]
+            z = solve_free(free)
+            lbv, = np.nonzero(z < lb_free)
+            ubv, = np.nonzero(z > ub_free)
+            v = np.hstack((lbv, ubv))
+            if not v.size:
+                x[free] = z
+                break
+            # move towards z until the first variable reaches its bound
+            alphas = np.hstack((lb_free[lbv] - x_free[lbv],
+                                ub_free[ubv] - x_free[ubv])) \
+                / (z[v] - x_free[v])
+            i = np.argmin(alphas)
+            alpha = alphas[i]
+            x_free *= 1 - alpha
+            x_free += alpha * z
+            x[free] = x_free
+            on_bound[free[v[i]]] = -1 if i < lbv.size else 1
+        res = m.dot(x) - r
+        cost_new = 0.5 * np.dot(res, res)
+        stalled = cost - cost_new < tol * cost
+        cost = cost_new
+        g = m.T.dot(res)
+        if stalled:
+            break
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -51,12 +51,17 @@ def files(tmp_path):
     np.savetxt(b2, np.array([[0.0], [1.0]]))
     l = tmp_path / "l.mat"
     np.savetxt(l, np.array([[1.0], [1.0]]))
+    a5 = tmp_path / "a5.mat"
+    a5.write_text("5\n")
+    a50 = tmp_path / "a50.mat"
+    np.savetxt(a50, np.diag([50.0, -1.0]))
     no_reactions = tmp_path / "none.reactions"
     no_reactions.write_text("# no reactions\n\n")
     return {
         "star": str(star), "ring": str(ring), "un": str(un),
         "reactions": str(reactions), "a": str(a), "b": str(b),
         "c": str(c), "a2": str(a2), "b2": str(b2), "l": str(l),
+        "a5": str(a5), "a50": str(a50),
         "no_reactions": str(no_reactions),
     }
 
@@ -262,6 +267,11 @@ class TestTypedErrors:
         run_error(capsys, ["compensate", "--system", "foo", "--x0", "1",
                            "--target", "0"], "UnknownSystem")
 
+    def test_compensate_zero_width_box(self, capsys):
+        # --lo = --hi = 0 forbids every step (a scipy ValueError before)
+        run_error(capsys, ["compensate", "--x0=-0.5", "--target", "1",
+                           "--lo", "0", "--hi", "0"], "NoCompensation")
+
     def test_allocation_failure(self, capsys):
         # 2·10¹⁶ time samples (142 PiB), more than any 57-bit address
         # space: the allocation is refused before any memory is touched
@@ -289,6 +299,18 @@ class TestTypedErrors:
          "--x0", "1,2,3", "--z0", "0,0"],
         ["hubler", "--a", "{a2}", "--x0", "1,2,3"],
         ["compensate", "--x0", "1,2", "--target", "0"],
+        # orbits that overflow, and bounds that are NaN or come alone
+        ["hubler", "--a", "{a5}", "--t", "1000"],
+        ["hubler", "--a", "{a50}", "--x0", "1,0", "--t", "100"],
+        ["compensate", "--x0", "1e200", "--target", "1"],
+        ["compensate", "--system", "rossler", "--x0", "1e200,0,0",
+         "--target", "0,0,0"],
+        ["compensate", "--x0=-0.5", "--target", "1.0", "--lo", "nan",
+         "--hi", "1"],
+        ["compensate", "--x0=-0.5", "--target", "1.0", "--lo=-1",
+         "--hi", "nan"],
+        ["compensate", "--x0=-0.5", "--target", "1.0", "--lo", "0.5"],
+        ["compensate", "--x0=-0.5", "--target", "1.0", "--hi", "0.5"],
         ["clamp", "--t", "-1"],
         ["ogy", "--delta", "0"],
         ["fvs", "--input", "{long_ring}", "--mode", "exact"],
@@ -751,6 +773,17 @@ class TestSteeringCommands:
                                 "--budget", "40"])
         assert doc["x0_new"][0] > 0
 
+    def test_hubler_backwards_in_time(self, files, capsys):
+        doc = run_json(capsys, ["hubler", "--a", files["a5"], "--t", "-3"])
+        assert doc["max_tracking_error"] < 1e-4
+
+    def test_compensate_far_start_in_basin(self, capsys):
+        # x' = x - x^3 draws 1e100 to the target +1 without overflowing
+        doc = run_json(capsys, ["compensate", "--x0", "1e100",
+                                "--target", "1"])
+        assert doc == {"schema": "netctl/1", "command": "compensate",
+                       "iterations": 0, "x0_new": [1e100]}
+
     def test_compensate_infinite_bounds(self, capsys):
         doc = run_json(capsys, ["compensate", "--x0=-0.5", "--target", "1.0",
                                 "--lo=-inf", "--hi", "inf"])
@@ -814,3 +847,20 @@ class TestPlumbing:
         parser = cli.build_parser()
         args = parser.parse_args(["vicsek"])
         assert args.seed == 77
+
+    def test_parser_built_once_and_seed_read_per_parse(self, monkeypatch):
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        for text, seed in (("5", 5), ("12", 12)):
+            monkeypatch.setenv("NETCTL_SEED", text)
+            assert parser.parse_args(["ogy"]).seed == seed
+        assert parser.parse_args(["ogy", "--seed", "3"]).seed == 3
+        monkeypatch.delenv("NETCTL_SEED")
+        assert parser.parse_args(["ogy"]).seed == 0
+
+    def test_env_seed_not_an_integer(self, monkeypatch, capsys):
+        monkeypatch.setenv("NETCTL_SEED", "x")
+        with pytest.raises(SystemExit) as e:
+            cli.main(["ogy"])
+        assert e.value.code == 2
+        assert "NETCTL_SEED: invalid int value: 'x'" in capsys.readouterr().err

@@ -3,6 +3,7 @@
 Every check runs in a fresh interpreter, since this process has long
 since imported numpy and scipy.  None of them measures time.
 """
+import argparse
 import json
 import os
 import subprocess
@@ -10,6 +11,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from netctl import cli
 
@@ -45,6 +47,87 @@ def run_fresh(argv):
 
 def scipy_modules(modules):
     return [m for m in modules if m == "scipy" or m.startswith("scipy.")]
+
+
+# scipy.sparse.csgraph imports scipy.linalg
+CSGRAPH = {"sparse", "linalg"}
+
+# every subcommand with short arguments, and the public scipy subpackages
+# its run may load
+FOOTPRINT = [
+    (["drivers", "--input", "{di}"], CSGRAPH),
+    (["check", "--input", "{di}", "--drivers", "a"], CSGRAPH),
+    (["classify-links", "--input", "{di}"], CSGRAPH),
+    (["classify-nodes", "--input", "{di}"], CSGRAPH),
+    (["classify-nodes", "--input", "{di}", "--deletion"], CSGRAPH),
+    (["profile", "--input", "{di}"], CSGRAPH),
+    (["centrality", "--input", "{di}", "--nodes", "a"], CSGRAPH),
+    (["actuators", "--input", "{di}"], CSGRAPH),
+    (["switchboard", "--input", "{di}"], CSGRAPH),
+    (["cavity", "--dist", "sf-static", "--kmean", "4"], set()),
+    (["exact-nd", "--a", "{a}"], set()),
+    (["energy", "--a", "{a}", "--b", "{b}", "--t", "2"], set()),
+    (["spectrum", "--a", "{a}", "--b", "{b}", "--t", "2"], set()),
+    (["sensors", "--reactions", "{reactions}"], CSGRAPH),
+    (["target-sensor", "--reactions", "{reactions}", "--targets", "x1"],
+     CSGRAPH),
+    (["mds", "--input", "{un}"], set()),
+    (["obs-transition", "--input", "{un}", "--phi", "0.5", "--trials", "2"],
+     CSGRAPH),
+    (["observer", "--a", "{a}", "--c", "{c}", "--l", "{l}", "--x0", "1,0,0",
+      "--z0", "0,0,0", "--t", "1"], set()),
+    (["hubler", "--a", "{a}"], set()),
+    (["ogy", "--steps", "20000"], set()),
+    (["pyragas", "--t", "5"], set()),
+    (["compensate", "--x0=-0.5", "--target", "1"], set()),
+    (["compensate", "--x0=-0.5", "--target", "1", "--lo", "0", "--hi", "3"],
+     set()),
+    (["fvs", "--input", "{di}"], CSGRAPH),
+    (["clamp", "--t", "1"], set()),
+    (["msf", "--input", "{un}"], set()),
+    (["pinning", "--input", "{un}"], set()),
+    (["pinning-sim", "--nodes", "3", "--t", "1"], set()),
+    # the periodic k-d tree at r < l/2
+    (["vicsek", "--n", "10", "--steps", "5"],
+     CSGRAPH | {"spatial", "special", "constants"}),
+    (["vicsek-leader", "--n", "5", "--steps", "5"], set()),
+]
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    from netctl.observability import DEMO_REACTIONS
+
+    root = tmp_path_factory.mktemp("footprint")
+    paths = {}
+    for name, text in (("di", "a b\nb c\nc a\nc d\n"),
+                       ("un", "a b\nb c\nc d\nd a\na c\nd e\n"),
+                       ("reactions", DEMO_REACTIONS),
+                       ("a", "-1 1 0\n0 -2 1\n0 0 -3\n"), ("b", "0\n0\n1\n"),
+                       ("c", "1 0 0\n"), ("l", "1\n1\n1\n")):
+        paths[name] = root / name
+        paths[name].write_text(text)
+    return paths
+
+
+def test_footprint_lists_every_subcommand():
+    subcommands = next(
+        a.choices for a in cli.build_parser()._actions
+        if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv, _ in FOOTPRINT} == set(subcommands)
+
+
+@pytest.mark.parametrize("argv, allowed", FOOTPRINT,
+                         ids=[" ".join(a[:1] + [f for f in a if f in (
+                             "--deletion", "--lo")]) for a, _ in FOOTPRINT])
+def test_scipy_footprint(inputs, argv, allowed):
+    """A fresh run loads no public scipy subpackage beyond its entry."""
+    got = run_fresh([a.format(**inputs) for a in argv])
+    assert got["code"] == 0
+    loaded = {m.split(".")[1] for m in scipy_modules(got["modules"])
+              if "." in m}
+    assert {p for p in loaded
+            if not p.startswith("_") and p != "version"} <= allowed
 
 
 def test_build_parser_loads_neither_numpy_nor_scipy():

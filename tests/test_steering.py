@@ -60,6 +60,167 @@ class TestRk4Step:
         assert ((ratios > 14) & (ratios < 18)).all(), ratios
 
 
+def counted(rhs):
+    """rhs plus a list whose length counts its calls."""
+    calls = []
+
+    def wrapped(t, x):
+        calls.append(t)
+        return rhs(t, x)
+
+    return wrapped, calls
+
+
+def variational(sys):
+    """Right-hand side of _flow_matrix's state-plus-sensitivity system."""
+    n = sys.n
+
+    def rhs(t, z):
+        dm = sys.jacobian(t, z[:n], np.zeros(n)) @ z[n:].reshape(n, n)
+        return np.concatenate([sys.free(t, z[:n]), dm.ravel()])
+
+    return rhs
+
+
+class TestRk45:
+    """The Dormand-Prince port against scipy's RK45, at each call site's
+    tolerances: (rtol, atol) = (1e-6, 1e-9) in hubler_input and
+    compensatory_perturbation, (1e-8, 1e-10) in _flow_matrix and
+    (1e-9, 1e-11) in close_return_period."""
+
+    @staticmethod
+    def assert_matches_scipy(rhs, t_final, y0, rtol, atol, t_eval=None):
+        from scipy.integrate import solve_ivp
+
+        from netctl.steering import _rk45
+        ref_rhs, ref_calls = counted(rhs)
+        with np.errstate(over="ignore", invalid="ignore"):  # x0 = 1e100
+            sol = solve_ivp(ref_rhs, (0.0, t_final), np.asarray(y0, float),
+                            t_eval=t_eval, rtol=rtol, atol=atol)
+        assert sol.success
+        got_rhs, got_calls = counted(rhs)
+        got = _rk45(got_rhs, t_final, y0, rtol, atol, t_eval)
+        want = sol.y[:, -1] if t_eval is None else sol.y.T
+        assert len(got_calls) == len(ref_calls)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("t_final", [40.0, -0.5])
+    def test_rossler(self, t_final):
+        rhs = make_system("rossler").free
+        x0 = [1.0, 1.0, 0.0]
+        self.assert_matches_scipy(rhs, t_final, x0, 1e-9, 1e-11)
+        self.assert_matches_scipy(rhs, t_final, x0, 1e-9, 1e-11,
+                                  np.arange(0.0, t_final, t_final / 997))
+        self.assert_matches_scipy(rhs, t_final, x0, 1e-6, 1e-9,
+                                  np.linspace(0.0, t_final, 401))
+
+    @pytest.mark.parametrize("t_final", [20.0, -3.0])
+    def test_double_well_and_gene(self, t_final):
+        t_eval = np.linspace(0.0, t_final, 401)
+        starts = [("double-well", [-0.3]), ("bistable-gene", [0.3, 1.2])]
+        if t_final > 0:  # backwards, x' = x - x^3 blows up from 1e100
+            starts.append(("double-well", [1e100]))
+        for name, x0 in starts:
+            rhs = make_system(name).free
+            self.assert_matches_scipy(rhs, t_final, x0, 1e-6, 1e-9, t_eval)
+            self.assert_matches_scipy(rhs, t_final, x0, 1e-6, 1e-9)
+
+    def test_flow_matrix_system(self):
+        for name, x0 in (("bistable-gene", [0.8, 0.9]),
+                         ("rossler", [1.0, 1.0, 0.0]),
+                         ("double-well", [-0.5])):
+            sys = make_system(name)
+            z0 = np.concatenate([x0, np.eye(sys.n).ravel()])
+            for t_c in (1.5, 7.3, -0.4):
+                self.assert_matches_scipy(variational(sys), t_c, z0, 1e-8,
+                                          1e-10)
+
+    def test_seeded_stable_linear_systems(self):
+        rng = np.random.default_rng(11)
+        for n in range(1, 7):
+            for _ in range(3):
+                a = rng.normal(size=(n, n))
+                a -= (np.linalg.eigvals(a).real.max() + rng.uniform(0.1, 1)) \
+                    * np.eye(n)
+                x0 = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+                for t_final in (rng.uniform(1, 15), -rng.uniform(0.1, 1)):
+                    for rtol, atol in ((1e-6, 1e-9), (1e-8, 1e-10),
+                                       (1e-9, 1e-11)):
+                        self.assert_matches_scipy(lambda t, x: a @ x,
+                                                  t_final, x0, rtol, atol)
+                    self.assert_matches_scipy(
+                        lambda t, x: a @ x, t_final, x0, 1e-6, 1e-9,
+                        np.linspace(0.0, t_final, 401))
+
+    def test_zero_horizon_returns_the_start(self):
+        from netctl.steering import _rk45
+        y0 = np.array([1.0, 2.0])
+        assert np.array_equal(_rk45(lambda t, x: x, 0.0, y0, 1e-6, 1e-9), y0)
+        assert np.array_equal(
+            _rk45(lambda t, x: x, 0.0, y0, 1e-6, 1e-9, [0.0]), [y0])
+
+    def test_overflow_is_a_typed_error(self):
+        from netctl.steering import _rk45
+        for rhs, y0 in ((lambda t, x: 5.0 * x, [1.0]),
+                        (make_system("double-well").free, [1e200]),
+                        (make_system("rossler").free, [1e200, 0.0, 0.0])):
+            with pytest.raises(InvalidArgument, match="diverges"):
+                _rk45(rhs, 1000.0, y0, 1e-6, 1e-9)
+
+    def test_stalled_step_is_nonconvergence(self):
+        # x' = x^2 from 1 blows up at t = 1, and backwards in time the
+        # Rossler flow near t = -1.55; scipy's RK45 stops at both ("Required
+        # step size is less than spacing between numbers")
+        from scipy.integrate import solve_ivp
+
+        from netctl.steering import _rk45
+        for rhs, y0, t_final, stall in (
+                (lambda t, x: x * x, [1.0], 2.0, "t = 1:"),
+                (make_system("rossler").free, [1.0, 1.0, 0.0], -3.0,
+                 "t = -1.54")):
+            assert not solve_ivp(rhs, (0.0, t_final), y0, rtol=1e-9,
+                                 atol=1e-11).success
+            with pytest.raises(NonConvergence, match=stall):
+                _rk45(rhs, t_final, y0, 1e-9, 1e-11)
+
+
+class TestBvls:
+    def test_matches_scipy_bvls(self):
+        from scipy.optimize import lsq_linear
+
+        from netctl.steering import _bvls
+        rng = np.random.default_rng(5)
+        active = infinite = 0
+        for _ in range(500):
+            n = int(rng.integers(1, 6))
+            m = rng.normal(size=(int(rng.integers(n, n + 4)), n))
+            r = rng.normal(size=len(m)) * 3
+            lb = rng.uniform(-2, 0.5, n)
+            ub = lb + rng.uniform(1e-3, 2, n)
+            lb[rng.random(n) < 0.2] = -np.inf
+            ub[rng.random(n) < 0.2] = np.inf
+            want = lsq_linear(m, r, bounds=(lb, ub), method="bvls")
+            np.testing.assert_allclose(_bvls(m, r, lb, ub), want.x,
+                                       rtol=0, atol=1e-12)
+            active += (want.active_mask != 0).any()
+            infinite += np.isinf(np.r_[lb, ub]).any()
+        assert active > 300 and infinite > 200
+
+    def test_feasible_least_squares_is_returned(self):
+        from netctl.steering import _bvls
+        m = np.array([[2.0, 0.0], [0.0, 4.0]])
+        x = _bvls(m, np.array([1.0, 1.0]), np.full(2, -np.inf),
+                  np.full(2, np.inf))
+        assert np.allclose(x, [0.5, 0.25])
+
+    def test_equal_bounds_fix_the_variable(self):
+        from netctl.steering import _bvls
+        x = _bvls(np.eye(2), np.array([3.0, -3.0]), np.array([1.0, -1.0]),
+                  np.array([1.0, 1.0]))
+        assert np.array_equal(x, [1.0, -1.0])
+
+
 class TestJacobian:
     def test_finite_difference_matches_analytic(self):
         sys = make_system("rossler")
@@ -111,6 +272,25 @@ class TestHubler:
             hubler_input(sys, np.ones((2, 2)), lambda t: np.zeros(2),
                          lambda t: np.zeros(2), 1.0)
 
+
+    def test_overflowing_flow_is_a_typed_error(self):
+        for a, x0, t in (([[5.0]], None, 1000.0),
+                         ([[50.0, 0.0], [0.0, -1.0]], [1.0, 0.0], 100.0)):
+            sys = linear_system(a)
+            n = sys.n
+            with pytest.raises(InvalidArgument, match="diverges"):
+                hubler_input(sys, np.eye(n), lambda t: np.sin(t) * np.ones(n),
+                             lambda t: np.cos(t) * np.ones(n), t, x0=x0)
+
+    def test_negative_horizon(self):
+        sys = linear_system([[-1.0, 0.5], [0.0, -2.0]])
+        goal = lambda t: np.array([np.sin(t), np.cos(2 * t)])
+        goal_dot = lambda t: np.array([np.cos(t), -2 * np.sin(2 * t)])
+        trace = hubler_input(sys, np.eye(2), goal, goal_dot, -3.0)
+        assert trace.t[-1] == -3.0 and trace.x.shape == (401, 2)
+        # backwards the tracking error grows like e^{2|t|}
+        assert max(np.linalg.norm(x - goal(t))
+                   for x, t in zip(trace.x, trace.t)) < 1e-4
 
     def test_wrong_x0_length(self):
         sys = linear_system(np.eye(2))
@@ -199,6 +379,24 @@ class TestCompensatory:
         with pytest.raises((NoCompensation, InfeasibleConstraints)):
             compensatory_perturbation(sys, [-0.5], [1.0],
                                       bounds=([-3.0], [0.0]), budget=10)
+
+    def test_nan_bounds_rejected(self):
+        sys = make_system("double-well")
+        for bounds in (([np.nan], [1.0]), ([-1.0], [np.nan])):
+            with pytest.raises(InvalidArgument, match="NaN"):
+                compensatory_perturbation(sys, [-0.5], [1.0], bounds=bounds)
+
+    def test_far_start_in_basin_needs_no_step(self):
+        # x' = x - x^3 draws x0 = 1e100 to +1 without overflowing
+        sys = make_system("double-well")
+        x0p, its = compensatory_perturbation(sys, [1e100], [1.0])
+        assert its == 0 and x0p[0] == 1e100
+
+    def test_overflowing_orbit_is_a_typed_error(self):
+        for name, x0, target in (("double-well", [1e200], [1.0]),
+                                 ("rossler", [1e200, 0, 0], [0, 0, 0])):
+            with pytest.raises(InvalidArgument, match="diverges"):
+                compensatory_perturbation(make_system(name), x0, target)
 
     def test_wrong_vector_lengths(self):
         sys = make_system("double-well")

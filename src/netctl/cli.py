@@ -297,11 +297,10 @@ def cmd_observer(args):
 def cmd_hubler(args):
     import numpy as np
 
-    from . import steering
+    from . import exact, steering
 
-    a = _read_matrix(args.a)
-    sys_ = steering.OdeSystem(n=a.shape[0],
-                              f=lambda t, x, u: a @ np.asarray(x) + u)
+    a = exact._square_finite(_read_matrix(args.a))
+    sys_ = steering.OdeSystem(n=a.shape[0], f=lambda t, x: a @ x)
     goal = lambda t: args.amp * np.sin(args.freq * t) * np.ones(a.shape[0])
     goal_dot = lambda t: args.amp * args.freq * np.cos(args.freq * t) \
         * np.ones(a.shape[0])

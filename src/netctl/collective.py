@@ -95,7 +95,7 @@ def pinning_sync_simulate(cfg, osc, h, x0, s0, t_final, adaptive=False,
     """Integrate the pinned network alongside the reference ṡ = f(s) by RK4
     steps of 0.01 and report the worst-node deviation.  In adaptive mode
     the pinned gains grow as κ̇_i = q_i |e_i| until the errors die out.
-    `osc.free` takes the node states and the reference together, as the
+    `osc.f` takes the node states and the reference together, as the
     n + 1 columns of one (dim, n + 1) array."""
     if t_final < 0:
         raise InvalidArgument("horizon must not be negative")
@@ -107,7 +107,7 @@ def pinning_sync_simulate(cfg, osc, h, x0, s0, t_final, adaptive=False,
 
     def drift(t, z):
         xc, sc, kc = z[:m].reshape(n, dim), z[m:m + dim], z[m + dim:]
-        f_all = osc.free(0.0, z[:m + dim].reshape(n + 1, dim).T).T
+        f_all = osc.f(0.0, z[:m + dim].reshape(n + 1, dim).T).T
         coupling = -cfg.sigma * cfg.coupling @ (xc @ h.T)
         control = (cfg.sigma * (delta * kc))[:, None] * ((sc - xc) @ h.T)
         dk = q * np.linalg.norm(xc - sc, axis=1) * delta if adaptive \

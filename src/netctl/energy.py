@@ -74,13 +74,14 @@ def gramian(sys: DenseSystem, t_final: float) -> GramianResult:
     # eigvalsh returns arbitrary numbers for a matrix that holds NaN
     eta = np.linalg.eigvalsh(h) if np.isfinite(h).all() \
         else np.full(n, np.nan)
-    cond = float(np.linalg.cond(w))
+    w_eig = np.linalg.eigvalsh(w)
+    # W is symmetric, so cond₂(W) = λ_max / λ_min; infinite once λ_min ≤ 0
+    cond = w_eig[-1] / w_eig[0] if w_eig[0] > 0 else math.inf
     if cond > 1e12:
         warnings.warn(
             f"Gramian condition number {cond:.3e} exceeds 1e12",
             IllConditionedWarning,
         )
-    w_eig = np.linalg.eigvalsh(w)
     return GramianResult(w, h, eta, w_eig[0],
                          w_eig[0] < _SINGULAR_ETA * max(1.0, w_eig[-1]))
 

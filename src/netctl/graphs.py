@@ -527,8 +527,9 @@ def directed_core(g: DiGraph):
     degree.  Returns (core node set, core fraction).
     """
     n = g.n_nodes
-    indptr_a, nbrs_a = UnGraph.from_arrays(2 * n, g.src, n + g.dst) \
-        .neighbours()
+    out_copy, in_copy = g.src, n + g.dst
+    indptr_a, nbrs_a = _csr(2 * n, np.concatenate([out_copy, in_copy]),
+                            np.concatenate([in_copy, out_copy]))
     deg_a = np.diff(indptr_a)
     # the XOR of a vertex's surviving neighbours is its last one at degree 1
     last_a = np.zeros(2 * n, dtype=np.intp)

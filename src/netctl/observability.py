@@ -297,8 +297,6 @@ def observability_transition(
     """Mean fraction of nodes in the largest connected observed component
     when floor(phi N) monitors are placed uniformly at random (a monitor
     observes itself and its neighbors)."""
-    from scipy.sparse import csr_matrix
-
     if not 0.0 <= phi <= 1.0:
         raise InvalidArgument("phi must lie in [0, 1]")
     if trials < 1:
@@ -306,21 +304,17 @@ def observability_transition(
     n = g.n_nodes
     k = int(phi * n)
     indptr, nbrs = g.neighbours()
-    adj = csr_matrix((np.ones(len(nbrs), dtype=np.int8), nbrs, indptr),
-                     shape=(n, n))
+    owner = np.repeat(np.arange(n), np.diff(indptr))
     sizes = []
     for _ in range(trials):
         monitors = rng.choice(n, size=k, replace=False) if k else np.array([], int)
-        mask = np.zeros(n, dtype=bool)
-        mask[monitors] = True
-        mask |= np.asarray(adj[monitors].sum(axis=0)).ravel() > 0
-        idx = np.flatnonzero(mask)
-        if idx.size == 0:
-            sizes.append(0)
-            continue
-        sub = adj[idx][:, idx].tocoo()
-        ids = component_ids(idx.size, sub.row, sub.col, connection="weak")
-        sizes.append(np.bincount(ids).max())
+        chosen = np.zeros(n, dtype=bool)
+        chosen[monitors] = True
+        observed = chosen.copy()
+        observed[owner[chosen[nbrs]]] = True
+        keep = observed[g.u] & observed[g.v]
+        ids = component_ids(n, g.u[keep], g.v[keep], connection="weak")
+        sizes.append(np.bincount(ids[observed], minlength=1).max())
     return float(np.mean(sizes)) / n
 
 

@@ -27,29 +27,27 @@ from .graphs import DiGraph, component_ids, reach_mask
 
 @dataclass
 class OdeSystem:
-    """Continuous-time system ẋ = f(t, x, u) with an optional analytic
-    Jacobian ∂f/∂x; a central finite difference is used when none is given."""
+    """Control-affine system ẋ = f(t, x) + u: f(t, x) returns the drift as
+    a fresh float array, and each steering method adds its own input.  Where
+    f allows it, x may hold one state per column, (n, k), and f(t, x) then
+    has the same shape.  jac(t, x) is an optional analytic Jacobian ∂f/∂x;
+    a central finite difference is used when none is given."""
 
     n: int
     f: Callable
     jac: Optional[Callable] = None
 
-    def free(self, t, x):
-        """ẋ at zero input, as a float array.  Where f allows it, x may hold
-        one state per column, (n, k), and ẋ then has the same shape."""
-        return np.asarray(self.f(t, x, np.zeros(np.shape(x))), dtype=float)
-
-    def jacobian(self, t, x, u):
+    def jacobian(self, t, x):
         if self.jac is not None:
-            return np.asarray(self.jac(t, x, u), dtype=float)
+            return np.asarray(self.jac(t, x), dtype=float)
         x = np.asarray(x, dtype=float)
         eps = 1e-6
         cols = []
         for i in range(self.n):
             dx = np.zeros(self.n)
             dx[i] = eps * max(1.0, abs(x[i]))
-            fp = np.asarray(self.f(t, x + dx, u), dtype=float)
-            fm = np.asarray(self.f(t, x - dx, u), dtype=float)
+            fp = np.asarray(self.f(t, x + dx), dtype=float)
+            fm = np.asarray(self.f(t, x - dx), dtype=float)
             cols.append((fp - fm) / (2 * dx[i]))
         return np.column_stack(cols)
 
@@ -228,10 +226,10 @@ def hubler_input(sys, b, goal, goal_dot, t_final, x0=None):
 
     def input_at(t):
         return b_inv @ (np.asarray(goal_dot(t), dtype=float)
-                        - sys.free(t, np.asarray(goal(t), dtype=float)))
+                        - sys.f(t, np.asarray(goal(t), dtype=float)))
 
     def rhs(t, x):
-        return sys.free(t, x) + b @ input_at(t)
+        return sys.f(t, x) + b @ input_at(t)
 
     if x0 is None:
         x0 = goal(0.0)
@@ -332,12 +330,15 @@ def _lagrange4(states, pos):
 
 
 def pyragas_feedback(sys, output, k_gain, tau, t_final, x0, dt=0.02):
-    """Integrate ẋ = f(t, x, u) with u(t) = K [y(t) − y(t−τ)], y = x[output],
-    by fixed-step RK4, interpolating y(t−τ) from the stored history.  The
-    history over [−τ, 0] is the uncontrolled flow started at x0."""
+    """Integrate ẋ = f(t, x) + u with u(t) = K [y(t) − y(t−τ)], y = x[output]
+    and K one gain per state, by fixed-step RK4, interpolating y(t−τ) from
+    the stored history.  The history over [−τ, 0] is the uncontrolled flow
+    started at x0."""
     if tau <= 0:
         raise InvalidArgument("delay must be positive")
     k_gain = np.atleast_1d(np.asarray(k_gain, dtype=float))
+    if k_gain.shape != (sys.n,):
+        raise InvalidArgument(f"the gain must have length {sys.n}")
 
     n_delay = max(int(round(tau / dt)), 4)
     dt = tau / n_delay  # snap the step so the delay is a whole number of steps
@@ -347,14 +348,14 @@ def pyragas_feedback(sys, output, k_gain, tau, t_final, x0, dt=0.02):
 
     states = [np.asarray(x0, dtype=float)]  # index k holds x(−τ + k·dt)
     for k in range(n_delay):
-        states.append(_rk4_step(sys.free, -tau + k * dt, states[-1], dt))
+        states.append(_rk4_step(sys.f, -tau + k * dt, states[-1], dt))
 
     def controlled(tc, xc):
         pos = (tc + tau) / dt - n_delay  # index of t−τ in `states`
         y_del = _lagrange4(states, pos)[output]
         return k_gain * (xc[output] - y_del)
 
-    closed = lambda t, x: np.asarray(sys.f(t, x, controlled(t, x)), float)
+    closed = lambda t, x: sys.f(t, x) + controlled(t, x)
     us = []
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for k in range(n_main):
@@ -382,9 +383,9 @@ def close_return_period(sys, x0, t_transient, t_max, dt=0.01, t_min=1.0,
     with the smallest return distance for lags in [t_min, t_max].  A point
     shadowing the orbit returns almost exactly after one period.  Returns
     (period, return_distance)."""
-    ref = _rk45(sys.free, t_transient, x0, 1e-9, 1e-11)
+    ref = _rk45(sys.f, t_transient, x0, 1e-9, 1e-11)
     t_eval = np.arange(0.0, t_search + dt / 2, dt)
-    xs = _rk45(sys.free, t_search, ref, 1e-9, 1e-11, t_eval)
+    xs = _rk45(sys.f, t_search, ref, 1e-9, 1e-11, t_eval)
     lo, hi = int(t_min / dt), int(t_max / dt)
     best = (np.inf, lo, 0)
     for lag in range(lo, hi + 1):
@@ -436,7 +437,7 @@ def compensatory_perturbation(sys, x0, x_target, bounds=None, budget=20):
     t_eval = np.linspace(0.0, 20.0, 401)
 
     for it in range(budget + 1):
-        xs = _rk45(sys.free, 20.0, x0, 1e-6, 1e-9, t_eval)
+        xs = _rk45(sys.f, 20.0, x0, 1e-6, 1e-9, t_eval)
         dist = np.linalg.norm(xs - x_target, axis=1)
         k = int(np.argmin(dist))
         if dist[k] < 0.05:
@@ -466,8 +467,8 @@ def _flow_matrix(sys, x0, t_c):
         return np.eye(n)
 
     def rhs(t, z):
-        dm = sys.jacobian(t, z[:n], np.zeros(n)) @ z[n:].reshape(n, n)
-        return np.concatenate([sys.free(t, z[:n]), dm.ravel()])
+        dm = sys.jacobian(t, z[:n]) @ z[n:].reshape(n, n)
+        return np.concatenate([sys.f(t, z[:n]), dm.ravel()])
 
     z0 = np.concatenate([np.asarray(x0, dtype=float), np.eye(n).ravel()])
     return _rk45(rhs, t_c, z0, 1e-8, 1e-10)[n:].reshape(n, n)
@@ -642,7 +643,7 @@ def fvs_clamp(sys, clamp_nodes, times, samples):
                          for j in clamp_nodes])
 
     def rhs(t, x):
-        dx = sys.free(t, x)
+        dx = sys.f(t, x)
         dx[clamp_nodes] = 0.0
         return dx
 
@@ -668,13 +669,11 @@ def fvs_clamp(sys, clamp_nodes, times, samples):
 def _rossler():
     a, b, c = 0.2, 0.2, 5.7
 
-    def f(t, x, u):
-        drive = np.zeros((3,) + np.shape(x)[1:])
-        drive[:len(u)] = u
+    def f(t, x):
         return np.array([-x[1] - x[2], x[0] + a * x[1],
-                         b + x[2] * (x[0] - c)]) + drive
+                         b + x[2] * (x[0] - c)])
 
-    def jac(t, x, u):
+    def jac(t, x):
         return np.array([[0.0, -1.0, -1.0],
                          [1.0, a, 0.0],
                          [x[2], 0.0, x[0] - c]])
@@ -685,11 +684,11 @@ def _rossler():
 def _bistable_gene(a=2.0, h=4.0):
     """Two mutually repressing genes with first-order decay: a bistable
     toggle whose interaction digraph is a single 2-cycle."""
-    def f(t, x, u):
+    def f(t, x):
         return np.array([a / (1.0 + x[1] ** h) - x[0],
                          a / (1.0 + x[0] ** h) - x[1]])
 
-    def jac(t, x, u):
+    def jac(t, x):
         d01 = -a * h * x[1] ** (h - 1) / (1.0 + x[1] ** h) ** 2
         d10 = -a * h * x[0] ** (h - 1) / (1.0 + x[0] ** h) ** 2
         return np.array([[-1.0, d01], [d10, -1.0]])
@@ -698,10 +697,10 @@ def _bistable_gene(a=2.0, h=4.0):
 
 
 def _double_well():
-    def f(t, x, u):
+    def f(t, x):
         return np.array([x[0] - x[0] ** 3])
 
-    def jac(t, x, u):
+    def jac(t, x):
         return np.array([[1.0 - 3.0 * x[0] ** 2]])
 
     return OdeSystem(n=1, f=f, jac=jac)
@@ -735,7 +734,7 @@ def gene_toggle_attractors(a=2.0, h=4.0):
             if np.linalg.norm(nxt - x) < 1e-12:
                 break
             x = nxt
-        residual = float(np.linalg.norm(sys.free(0, x)))
+        residual = float(np.linalg.norm(sys.f(0, x)))
         if not residual < 1e-9:
             raise NonConvergence(residual, iterations)
         out.append(x)

@@ -163,6 +163,16 @@ class TestTypedErrors:
         np.savetxt(a, np.array([[1.0, np.nan], [0.0, 1.0]]))
         run_error(capsys, ["exact-nd", "--a", str(a)], "NonFiniteInput")
 
+    def test_hubler_non_square(self, tmp_path, capsys):
+        a = tmp_path / "row.mat"
+        a.write_text("1 2 3\n")
+        run_error(capsys, ["hubler", "--a", str(a)], "DimensionMismatch")
+
+    def test_hubler_nan(self, tmp_path, capsys):
+        a = tmp_path / "nan.mat"
+        np.savetxt(a, np.array([[1.0, np.nan], [0.0, 1.0]]))
+        run_error(capsys, ["hubler", "--a", str(a)], "NonFiniteInput")
+
     def test_energy_nan(self, files, tmp_path, capsys):
         b = tmp_path / "nan_b.mat"
         np.savetxt(b, np.array([[np.nan], [0.0], [0.0]]))

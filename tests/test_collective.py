@@ -140,7 +140,7 @@ class TestPinningSpectrum:
 class TestPinningSimulate:
     def test_all_pinned_stable_converges(self):
         # stable node dynamics plus strong feedback: exponential collapse
-        osc = OdeSystem(n=2, f=lambda t, x, u: -np.asarray(x))
+        osc = OdeSystem(n=2, f=lambda t, x: -x)
         cfg = PinningConfig(1.0, 10.0, list(range(4)),
                             laplacian_matrix(ring(4)))
         rng = np.random.default_rng(3)

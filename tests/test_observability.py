@@ -305,6 +305,8 @@ class TestMds:
         assert observability_transition(complete, 1 / n, 3, rng) == 1.0
         empty = UnGraph(n, [])
         assert observability_transition(empty, 0.5, 3, rng) == 1 / n
+        # no monitor observes nothing
+        assert observability_transition(complete, 0.0, 3, rng) == 0.0
 
     def test_monotone_in_monitors(self):
         rng = np.random.default_rng(29)

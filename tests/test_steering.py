@@ -35,11 +35,8 @@ from oracles import brute_force_fvs, fvs_rounds_reference, henon_lyapunov
 
 def linear_system(a):
     a = np.asarray(a, dtype=float)
-
-    def f(t, x, u):
-        return a @ x + u
-
-    return OdeSystem(n=a.shape[0], f=f, jac=lambda t, x, u: a)
+    return OdeSystem(n=a.shape[0], f=lambda t, x: a @ x,
+                     jac=lambda t, x: a)
 
 
 class TestRk4Step:
@@ -76,8 +73,8 @@ def variational(sys):
     n = sys.n
 
     def rhs(t, z):
-        dm = sys.jacobian(t, z[:n], np.zeros(n)) @ z[n:].reshape(n, n)
-        return np.concatenate([sys.free(t, z[:n]), dm.ravel()])
+        dm = sys.jacobian(t, z[:n]) @ z[n:].reshape(n, n)
+        return np.concatenate([sys.f(t, z[:n]), dm.ravel()])
 
     return rhs
 
@@ -107,7 +104,7 @@ class TestRk45:
 
     @pytest.mark.parametrize("t_final", [40.0, -0.5])
     def test_rossler(self, t_final):
-        rhs = make_system("rossler").free
+        rhs = make_system("rossler").f
         x0 = [1.0, 1.0, 0.0]
         self.assert_matches_scipy(rhs, t_final, x0, 1e-9, 1e-11)
         self.assert_matches_scipy(rhs, t_final, x0, 1e-9, 1e-11,
@@ -122,7 +119,7 @@ class TestRk45:
         if t_final > 0:  # backwards, x' = x - x^3 blows up from 1e100
             starts.append(("double-well", [1e100]))
         for name, x0 in starts:
-            rhs = make_system(name).free
+            rhs = make_system(name).f
             self.assert_matches_scipy(rhs, t_final, x0, 1e-6, 1e-9, t_eval)
             self.assert_matches_scipy(rhs, t_final, x0, 1e-6, 1e-9)
 
@@ -163,8 +160,8 @@ class TestRk45:
     def test_overflow_is_a_typed_error(self):
         from netctl.steering import _rk45
         for rhs, y0 in ((lambda t, x: 5.0 * x, [1.0]),
-                        (make_system("double-well").free, [1e200]),
-                        (make_system("rossler").free, [1e200, 0.0, 0.0])):
+                        (make_system("double-well").f, [1e200]),
+                        (make_system("rossler").f, [1e200, 0.0, 0.0])):
             with pytest.raises(InvalidArgument, match="diverges"):
                 _rk45(rhs, 1000.0, y0, 1e-6, 1e-9)
 
@@ -177,7 +174,7 @@ class TestRk45:
         from netctl.steering import _rk45
         for rhs, y0, t_final, stall in (
                 (lambda t, x: x * x, [1.0], 2.0, "t = 1:"),
-                (make_system("rossler").free, [1.0, 1.0, 0.0], -3.0,
+                (make_system("rossler").f, [1.0, 1.0, 0.0], -3.0,
                  "t = -1.54")):
             assert not solve_ivp(rhs, (0.0, t_final), y0, rtol=1e-9,
                                  atol=1e-11).success
@@ -228,8 +225,8 @@ class TestJacobian:
         rng = np.random.default_rng(3)
         for _ in range(10):
             x = rng.uniform(-5, 5, 3)
-            ja = sys.jacobian(0.0, x, np.zeros(3))
-            jn = numeric.jacobian(0.0, x, np.zeros(3))
+            ja = sys.jacobian(0.0, x)
+            jn = numeric.jacobian(0.0, x)
             assert np.allclose(ja, jn, rtol=1e-4, atol=1e-6)
 
 
@@ -338,13 +335,19 @@ class TestPyragas:
         # harmonic oscillator: every orbit has period 2*pi
         a = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
-        def f(t, x, u):
-            return a @ x + np.array([u[0], 0.0])
-
-        sys = OdeSystem(n=2, f=f)
-        trace = pyragas_feedback(sys, 0, 0.5, 2 * np.pi, 30.0, [1.0, 0.0],
-                                 dt=0.01)
+        sys = OdeSystem(n=2, f=lambda t, x: a @ x)
+        trace = pyragas_feedback(sys, 0, [0.5, 0.0], 2 * np.pi, 30.0,
+                                 [1.0, 0.0], dt=0.01)
         assert trace.mismatch < 1e-6
+        # one input per state, zero where the gain is
+        assert trace.u.shape == (len(trace.t), 2)
+        assert (trace.u[:, 1] == 0).all()
+
+    def test_gain_of_wrong_length(self):
+        sys = make_system("rossler")
+        for gain in (0.5, [0.0, -0.2], [0.0, -0.2, 0.0, 0.0]):
+            with pytest.raises(InvalidArgument, match="length 3"):
+                pyragas_feedback(sys, 1, gain, 5.0, 20.0, [1.0, 1.0, 0.0])
 
     def test_rossler_period_one_orbit(self):
         sys = make_system("rossler")
@@ -412,12 +415,10 @@ class TestCompensatory:
         x0 = np.array([0.8, 0.9])
         t_c = 1.5
         m = _flow_matrix(sys, x0, t_c)
-        zero_u = np.zeros(2)
         from scipy.integrate import solve_ivp
-        rhs = lambda t, x: sys.f(t, x, zero_u)
 
         def flow(x):
-            return solve_ivp(rhs, (0, t_c), x, rtol=1e-10,
+            return solve_ivp(sys.f, (0, t_c), x, rtol=1e-10,
                              atol=1e-12).y[:, -1]
 
         eps = 1e-5
@@ -516,6 +517,69 @@ class TestFvs:
             fvs_find(g, "exact")
 
 
+class TestTwoArgumentSystems:
+    """ẋ = f(t, x) + u: the steering kernels call f (and jac) with (t, x)
+    alone and add their own input; TestPyragas covers pyragas_feedback."""
+
+    rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])  # every orbit has period 2π
+
+    def test_hubler_input(self):
+        sys = OdeSystem(n=2, f=lambda t, x: -x)
+        goal = lambda t: np.array([np.sin(t), np.cos(2 * t)])
+        goal_dot = lambda t: np.array([np.cos(t), -2 * np.sin(2 * t)])
+        trace = hubler_input(sys, np.eye(2), goal, goal_dot, 5.0)
+        want_u = np.array([goal_dot(t) + goal(t) for t in trace.t])
+        assert np.allclose(trace.u, want_u, rtol=0, atol=1e-12)
+        assert max(np.linalg.norm(x - goal(t))
+                   for x, t in zip(trace.x, trace.t)) < 1e-5
+
+    def test_close_return_period(self):
+        sys = OdeSystem(n=2, f=lambda t, x: self.rotation @ x)
+        period, dist = close_return_period(sys, [1.0, 0.0], t_transient=1.0,
+                                           t_max=8.0, t_min=4.0,
+                                           t_search=20.0)
+        assert abs(period - 2 * np.pi) < 1e-3 and dist < 1e-2
+
+    def test_flow_matrix_without_jac(self):
+        from netctl.exact import _expm
+        from netctl.steering import _flow_matrix
+        a = np.array([[-1.0, 0.5], [0.0, -2.0]])
+        sys = OdeSystem(n=2, f=lambda t, x: a @ x)  # no jac
+        assert np.allclose(_flow_matrix(sys, [0.3, -0.2], 1.5),
+                           _expm(1.5 * a), rtol=0, atol=1e-6)
+
+    def test_compensatory_perturbation(self):
+        sys = OdeSystem(n=1, f=lambda t, x: x - x ** 3)
+        x0p, its = compensatory_perturbation(
+            sys, [-0.5], [1.0], bounds=([0.0], [3.0]), budget=40)
+        assert x0p[0] > 0.0 and its > 0
+
+    def test_fvs_clamp(self):
+        sys = OdeSystem(n=2, f=lambda t, x: -x)
+        times = np.linspace(0.0, 5.0, 101)
+        samples = np.column_stack([np.sin(times), np.exp(-times)])
+        trace = fvs_clamp(sys, [0], times, samples)
+        assert (trace.x[:, 0] == samples[:, 0]).all()
+        assert abs(trace.x[-1, 1] - np.exp(-5.0)) < 1e-8
+
+    def test_gene_toggle_attractors(self):
+        toggle = make_system("bistable-gene")
+        for state in gene_toggle_attractors():
+            assert np.linalg.norm(toggle.f(0.0, state)) < 1e-9
+
+    def test_pinning_sync_simulate(self):
+        from netctl.collective import (PinningConfig, laplacian_matrix,
+                                       pinning_sync_simulate)
+        from netctl.graphs import UnGraph
+        osc = OdeSystem(n=2, f=lambda t, x: self.rotation @ x)
+        ring = UnGraph(3, [(0, 1), (1, 2), (2, 0)])
+        cfg = PinningConfig(1.0, 10.0, [0, 1, 2], laplacian_matrix(ring))
+        x0 = np.random.default_rng(6).normal(size=(3, 2))
+        trace = pinning_sync_simulate(cfg, osc, np.eye(2), x0, [1.0, 0.0],
+                                      t_final=5.0)
+        assert trace.error[-1] < 1e-6 * trace.error[0]
+
+
 class TestToySystems:
     def test_unknown_name(self):
         with pytest.raises(UnknownSystem, match="choices"):
@@ -528,10 +592,10 @@ class TestToySystems:
         # pinning_sync_simulate evaluates all its oscillators in one call
         osc = make_system("rossler")
         states = np.random.default_rng(2).normal(size=(3, 7)) * 5
-        one_call = osc.free(0.0, states)
+        one_call = osc.f(0.0, states)
         assert one_call.shape == (3, 7)
         for k in range(7):
-            assert np.array_equal(one_call[:, k], osc.free(0.0, states[:, k]))
+            assert np.array_equal(one_call[:, k], osc.f(0.0, states[:, k]))
 
     def test_toggle_iteration_without_fixed_point(self):
         # with a Hill exponent of 2 the corner iteration does not settle
@@ -568,12 +632,8 @@ class TestFvsClamp:
         # second bistable cycle free, so from S1 the second pair stays put
         base = make_system("bistable-gene")
 
-        def f(t, x, u):
-            d01 = base.f(t, x[:2], u)
-            d23 = base.f(t, x[2:], u)
-            return np.concatenate([d01, d23])
-
-        sys = OdeSystem(n=4, f=f)
+        sys = OdeSystem(n=4, f=lambda t, x: np.concatenate(
+            [base.f(t, x[:2]), base.f(t, x[2:])]))
         s1, s3 = gene_toggle_attractors()
         times = np.linspace(0.0, 25.0, 501)
         target = np.concatenate([s3, s3])

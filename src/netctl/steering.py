@@ -311,34 +311,26 @@ def ogy_stabilize_henon(hp, n_steps=2000, seed=None):
 # Delayed self-referencing feedback
 
 
-def _lagrange4(states, pos):
-    """Cubic Lagrange interpolation of a uniformly sampled history at
-    fractional index pos."""
-    i = int(np.floor(pos))
-    if float(pos) == i:
-        return states[i]
-    i0 = min(max(i - 1, 0), len(states) - 4)
-    s = pos - i0
-    out = 0.0
-    for j in range(4):
-        w = 1.0
-        for m in range(4):
-            if m != j:
-                w *= (s - m) / (j - m)
-        out = out + w * states[i0 + j]
-    return out
-
-
 def pyragas_feedback(sys, output, k_gain, tau, t_final, x0, dt=0.02):
     """Integrate ẋ = f(t, x) + u with u(t) = K [y(t) − y(t−τ)], y = x[output]
-    and K one gain per state, by fixed-step RK4, interpolating y(t−τ) from
-    the stored history.  The history over [−τ, 0] is the uncontrolled flow
-    started at x0."""
-    if tau <= 0:
-        raise InvalidArgument("delay must be positive")
+    and K one gain per state, by fixed-step RK4 with dt snapped so that τ is
+    a whole number of steps.  The history over [−τ, 0] is the free flow
+    through x0 at −τ, stored with one free step before it, so y(t−τ) at an
+    RK4 stage is a stored step or the cubic midpoint of the four around it."""
+    if not (isinstance(output, (int, np.integer)) and 0 <= output < sys.n):
+        raise InvalidArgument(f"output must be a state index in "
+                              f"0..{sys.n - 1}")
     k_gain = np.atleast_1d(np.asarray(k_gain, dtype=float))
-    if k_gain.shape != (sys.n,):
-        raise InvalidArgument(f"the gain must have length {sys.n}")
+    x0 = np.asarray(x0, dtype=float)
+    if k_gain.shape != (sys.n,) or x0.shape != (sys.n,):
+        raise InvalidArgument(f"the gain and x0 must have length {sys.n}")
+    if not np.isfinite(x0).all():
+        raise NonFiniteInput("x0 must be finite")
+    if not 0 < tau < math.inf:
+        raise InvalidArgument("delay must be positive and finite")
+    if not (0 < dt < math.inf and math.isfinite(t_final)):
+        raise InvalidArgument("the step must be positive and finite, and "
+                              "the horizon finite")
 
     n_delay = max(int(round(tau / dt)), 4)
     dt = tau / n_delay  # snap the step so the delay is a whole number of steps
@@ -346,34 +338,31 @@ def pyragas_feedback(sys, output, k_gain, tau, t_final, x0, dt=0.02):
     if n_main < 1:
         raise InvalidArgument("horizon must span at least one step")
 
-    states = [np.asarray(x0, dtype=float)]  # index k holds x(−τ + k·dt)
-    for k in range(n_delay):
-        states.append(_rk4_step(sys.f, -tau + k * dt, states[-1], dt))
+    xs = np.empty((n_delay + n_main + 2, sys.n))  # row r: x(−τ + (r−1)·dt)
+    xs[1] = x0
+    y = xs[:, output]  # a view, filled as the rows are
 
-    def controlled(tc, xc):
-        pos = (tc + tau) / dt - n_delay  # index of t−τ in `states`
-        y_del = _lagrange4(states, pos)[output]
-        return k_gain * (xc[output] - y_del)
+    def closed(t, x):
+        i, half = divmod(round(2 * t / dt), 2)  # t − τ is row i + 1 + half/2
+        # between rows: the cubic through the four around t − τ, at its centre
+        y_del = (9 * (y[i + 1] + y[i + 2]) - y[i] - y[i + 3]) / 16 if half \
+            else y[i + 1]
+        return sys.f(t, x) + k_gain * (x[output] - y_del)
 
-    closed = lambda t, x: sys.f(t, x) + controlled(t, x)
-    us = []
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        for k in range(n_main):
-            tc = k * dt
-            us.append(controlled(tc, states[-1]))
-            states.append(_rk4_step(closed, tc, states[-1], dt))
-        us.append(controlled(n_main * dt, states[-1]))
-
-    t = np.arange(n_main + 1) * dt
-    xs = np.array(states[n_delay:])
+        xs[0] = _rk4_step(sys.f, -tau, x0, -dt)
+        for r in range(1, n_delay + n_main + 1):
+            k = r - n_delay - 1  # the step from row r starts at t = k·dt
+            rhs = closed if k >= 0 else sys.f
+            xs[r + 1] = _rk4_step(rhs, k * dt, xs[r], dt)
     if not np.isfinite(xs).all():
         raise InvalidArgument("the controlled flow diverges: its state "
                               "overflows")
-    ys = np.array([x[output] for x in states])
+    lag = y[n_delay + 1:] - y[1:n_main + 2]  # y(t) − y(t−τ) on the grid
     tail = max(1, n_main // 10)
-    diff = np.abs(ys[n_delay:] - ys[:-n_delay])
-    mismatch = float(diff[-tail:].max())
-    return SimTrace(t=t, x=xs, u=np.array(us), mismatch=mismatch)
+    return SimTrace(t=np.arange(n_main + 1) * dt, x=xs[n_delay + 1:],
+                    u=lag[:, None] * k_gain,
+                    mismatch=float(np.abs(lag[-tail:]).max()))
 
 
 def close_return_period(sys, x0, t_transient, t_max, dt=0.01, t_min=1.0,
@@ -383,6 +372,10 @@ def close_return_period(sys, x0, t_transient, t_max, dt=0.01, t_min=1.0,
     with the smallest return distance for lags in [t_min, t_max].  A point
     shadowing the orbit returns almost exactly after one period.  Returns
     (period, return_distance)."""
+    if not (0 < dt < math.inf
+            and 1 <= t_min / dt <= t_max / dt < t_search / dt < math.inf):
+        raise InvalidArgument("need 0 < dt ≤ t_min ≤ t_max < t_search, all "
+                              "finite")
     ref = _rk45(sys.f, t_transient, x0, 1e-9, 1e-11)
     t_eval = np.arange(0.0, t_search + dt / 2, dt)
     xs = _rk45(sys.f, t_search, ref, 1e-9, 1e-11, t_eval)
@@ -628,8 +621,9 @@ def fvs_find(g: DiGraph, mode="heuristic") -> FvsResult:
 
 
 def fvs_clamp(sys, clamp_nodes, times, samples):
-    """Override the clamped coordinates with a prescribed trajectory while
-    integrating the rest; reports terminal distance to the final sample."""
+    """Override the clamped coordinates with the samples, linear in between,
+    while integrating the rest; reports terminal distance to the final
+    sample."""
     times = np.asarray(times, dtype=float)
     samples = np.asarray(samples, dtype=float)
     if samples.shape != (len(times), sys.n):
@@ -637,10 +631,16 @@ def fvs_clamp(sys, clamp_nodes, times, samples):
     if len(times) < 2:
         raise MissingTrajectory("need at least two trajectory samples")
     clamp_nodes = sorted(clamp_nodes)
-
-    def prescribed(t):
-        return np.array([np.interp(t, times, samples[:, j])
-                         for j in clamp_nodes])
+    if clamp_nodes and not 0 <= clamp_nodes[0] <= clamp_nodes[-1] < sys.n:
+        raise InvalidArgument(f"clamped nodes must lie in 0..{sys.n - 1}")
+    if not (np.isfinite(times).all() and (np.diff(times) > 0).all()):
+        raise InvalidArgument("sample times must be finite and strictly "
+                              "increasing")
+    if not np.isfinite(samples).all():
+        raise NonFiniteInput("the prescribed samples must be finite")
+    # linear between samples: clamped[k] + (j/4)·ramp[k] at step j of k
+    clamped = samples[:, clamp_nodes]
+    ramp = np.diff(clamped, axis=0)
 
     def rhs(t, x):
         dx = sys.f(t, x)
@@ -653,10 +653,9 @@ def fvs_clamp(sys, clamp_nodes, times, samples):
     for k in range(len(times) - 1):
         h = (times[k + 1] - times[k]) / 4  # four RK4 steps per sample
         for j in range(4):
-            tc = times[k] + j * h
-            state[clamp_nodes] = prescribed(tc)
-            state = _rk4_step(rhs, tc, state, h)
-        state[clamp_nodes] = samples[k + 1, clamp_nodes]
+            state[clamp_nodes] = clamped[k] + j / 4 * ramp[k]
+            state = _rk4_step(rhs, times[k] + j * h, state, h)
+        state[clamp_nodes] = clamped[k + 1]
         xs[k + 1] = state
     terminal = float(np.linalg.norm(xs[-1] - samples[-1]))
     return SimTrace(t=times, x=xs, terminal_distance=terminal)

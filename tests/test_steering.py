@@ -11,6 +11,7 @@ from netctl.errors import (
     MissingTrajectory,
     NoCompensation,
     NonConvergence,
+    NonFiniteInput,
     SingularB,
     UnknownSystem,
 )
@@ -349,6 +350,53 @@ class TestPyragas:
             with pytest.raises(InvalidArgument, match="length 3"):
                 pyragas_feedback(sys, 1, gain, 5.0, 20.0, [1.0, 1.0, 0.0])
 
+    def test_fourth_order_with_delayed_input(self):
+        # (x0, x1) rotate freely and x2' = -x2 + K[x0(t) - x0(t-tau)]; the
+        # history through x(-tau) = (1, 0, 1) is the free flow, so
+        # x0(t) = cos(t + tau) on both sides of t = 0 and the solution is
+        # smooth: halving dt must cut the error of RK4 about 16x
+        a = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+        sys = OdeSystem(n=3, f=lambda t, x: a @ x)
+        tau, k = 1.0, 0.8
+
+        def x2(t):  # e^{-t} x2(0) + K int_0^t e^{-(t-s)} [cos(s+tau) - cos s]
+            ramp = lambda p: (np.cos(t + p) + np.sin(t + p)
+                              - np.exp(-t) * (np.cos(p) + np.sin(p))) / 2
+            return np.exp(-t - tau) + k * (ramp(tau) - ramp(0.0))
+
+        errors = []
+        for dt in (0.1, 0.05):
+            trace = pyragas_feedback(sys, 0, [0.0, 0.0, k], tau, 6.0,
+                                     [1.0, 0.0, 1.0], dt=dt)
+            assert np.abs(trace.u[:, 2]).max() > 0.5
+            errors.append(np.abs(trace.x[:, 2] - x2(trace.t)).max())
+        assert errors[0] < 1e-5
+        assert 12 < errors[0] / errors[1] < 20
+
+    @pytest.mark.parametrize("change, error", [
+        ({"output": 3}, InvalidArgument),
+        ({"output": -1}, InvalidArgument),
+        ({"x0": [1.0, 1.0]}, InvalidArgument),
+        ({"x0": [1.0, np.nan, 0.0]}, NonFiniteInput),
+        ({"tau": np.inf}, InvalidArgument),
+        ({"t_final": np.nan}, InvalidArgument),
+        ({"dt": 0.0}, InvalidArgument)],
+        ids=lambda v: getattr(v, "__name__", repr(v)))
+    def test_bad_arguments(self, change, error):
+        args = dict(output=1, k_gain=[0.0, -0.2, 0.0], tau=5.0, t_final=20.0,
+                    x0=[1.0, 1.0, 0.0]) | change
+        with pytest.raises(error):
+            pyragas_feedback(make_system("rossler"), **args)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"t_min": 0.001}, {"t_max": 400.0}, {"dt": 0.0}], ids=repr)
+    def test_return_period_lag_window(self, kwargs):
+        sys = OdeSystem(n=2, f=lambda t, x: np.array([x[1], -x[0]]))
+        args = dict(t_transient=1.0, t_max=8.0, t_min=4.0, t_search=20.0,
+                    dt=0.01) | kwargs
+        with pytest.raises(InvalidArgument):
+            close_return_period(sys, [1.0, 0.0], **args)
+
     def test_rossler_period_one_orbit(self):
         sys = make_system("rossler")
         period, dist = close_return_period(sys, [1.0, 1.0, 0.0],
@@ -642,6 +690,56 @@ class TestFvsClamp:
         samples[0] = start
         trace = fvs_clamp(sys, [0], times, samples)
         assert trace.terminal_distance > 0.5
+
+    def test_uneven_times_linear_prescription(self):
+        # x1' = x0 - x1 with x0 clamped to sin(3t) on uneven sample times:
+        # x0 is held at the prescription's value at the start of each RK4
+        # step, a quarter of its sample interval, so one step maps x1 to
+        # c + (x1 - c) R(h) with R the RK4 polynomial of e^{-h}
+        sys = OdeSystem(n=2, f=lambda t, x: np.array([0.0, x[0] - x[1]]))
+        times = np.linspace(0.0, 2.0, 41) ** 2
+        samples = np.column_stack([np.sin(3 * times), np.zeros(41)])
+        trace = fvs_clamp(sys, [0], times, samples)
+        assert (trace.x[:, 0] == samples[:, 0]).all()
+        want = [0.0]
+        for t0, t1 in zip(times[:-1], times[1:]):
+            h = (t1 - t0) / 4
+            r = 1 - h + h ** 2 / 2 - h ** 3 / 6 + h ** 4 / 24
+            x1 = want[-1]
+            for j in range(4):
+                c = np.interp(t0 + j * h, times, samples[:, 0])
+                x1 = c + (x1 - c) * r
+            want.append(x1)
+        assert np.allclose(trace.x[:, 1], want, rtol=0, atol=1e-12)
+
+    def test_clamped_node_out_of_range(self):
+        sys = make_system("bistable-gene")
+        times = np.linspace(0.0, 1.0, 21)
+        samples = np.tile([1.0, 2.0], (21, 1))
+        for nodes in ([2], [-1], [0, 2]):
+            with pytest.raises(InvalidArgument, match="0..1"):
+                fvs_clamp(sys, nodes, times, samples)
+
+    def test_times_not_increasing_or_not_finite(self):
+        sys = make_system("bistable-gene")
+        s1, s3 = gene_toggle_attractors()
+        samples = np.tile(s3, (21, 1))
+        samples[0] = s1
+        reversed_times = np.linspace(1.0, 0.0, 21)
+        nan_time = np.linspace(0.0, 1.0, 21)
+        nan_time[5] = np.nan
+        for times in (reversed_times, nan_time):
+            with pytest.raises(InvalidArgument, match="increasing"):
+                fvs_clamp(sys, [0], times, samples)
+
+    def test_non_finite_samples(self):
+        sys = make_system("bistable-gene")
+        times = np.linspace(0.0, 1.0, 21)
+        for i, j, v in ((0, 1, np.nan), (5, 0, np.inf)):
+            samples = np.tile([1.0, 2.0], (21, 1))
+            samples[i, j] = v
+            with pytest.raises(NonFiniteInput):
+                fvs_clamp(sys, [0], times, samples)
 
     def test_missing_trajectory(self):
         sys = make_system("bistable-gene")

@@ -14,9 +14,14 @@ Submodules:
 
 No module imports scipy at load time: each function imports the scipy
 subpackage it calls, so a `netctl` run loads only what its kernel needs.
-Only the graph kernels (`scipy.sparse.csgraph`) and Vicsek flocking at
-r < l/2 (`scipy.spatial`) call scipy; the ODE solver, the bounded least
-squares and the matrix exponential are numpy.
+Only strong components, reachability and the matchings that need not be
+canonical (`scipy.sparse.csgraph`) and Vicsek flocking at r < l/2
+(`scipy.spatial`) call scipy.  So `check`, `classify-links`,
+`classify-nodes`, `profile`, `centrality`, `actuators`, `sensors`,
+`target-sensor` and `fvs` load csgraph, and `drivers`, `switchboard` and
+`obs-transition` do not: the canonical matching, the weak components,
+the ODE solver, the bounded least squares and the matrix exponential
+are numpy.
 """
 
 __version__ = "0.1.0"

@@ -5,9 +5,17 @@ every algorithm iterates in index order, so all results are deterministic
 for a given input.  Graphs keep their edges as parallel index arrays in
 input order; the combinatorial work runs on those arrays and on
 `scipy.sparse.csgraph`.  Components and reachability are arrays too:
-`component_ids` numbers each node's strong or weak component,
-`scc_roots` marks which strong components no arc enters, and
-`reach_mask` flags the nodes reachable from a set of sources.
+`component_ids` numbers each node's strong component and
+`weak_component_ids` its weak one, `scc_roots` marks which strong
+components no arc enters, and `reach_mask` flags the nodes reachable
+from a set of sources.
+
+The canonical matching (`maximum_matching`) and the weak components
+run in numpy, so `netctl drivers`, `switchboard` and `obs-transition`
+load no scipy module.  Strong components, reachability and
+`any_maximum_matching` call `scipy.sparse.csgraph`, so `check`,
+`classify-links`, `classify-nodes`, `profile`, `centrality`,
+`actuators`, `sensors`, `target-sensor` and `fvs` load it.
 """
 from __future__ import annotations
 
@@ -42,7 +50,8 @@ def _csr(n, tails, heads):
     are ends[indptr[u]:indptr[u + 1]]."""
     indptr = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(np.bincount(tails, minlength=n), out=indptr[1:])
-    return indptr, heads[np.lexsort((heads, tails))]
+    # heads in (tail, head) order: one sort of a single key, not a lexsort
+    return indptr, np.sort(tails * n + heads) % n
 
 
 class DiGraph:
@@ -350,19 +359,35 @@ def maximum_matching(g: DiGraph) -> Matching:
                     np.array(pair_r, dtype=np.intp))
 
 
+def _rows(indptr, nodes):
+    """(slots, tails): the CSR slots of the rows of `nodes`, concatenated
+    in order, and the node whose row holds each slot."""
+    starts = indptr[nodes]
+    lens = indptr[nodes + 1] - starts
+    tails = np.repeat(nodes, lens)
+    shift = np.repeat(starts - np.cumsum(lens) + lens, lens)
+    return np.arange(len(tails)) + shift, tails
+
+
 def _augment(g: DiGraph, pair_l, pair_r):
     """Hopcroft-Karp on g's bipartite split, in place, from the matching
     given by the lists pair_l / pair_r until it is maximum.  An
     augmenting path never unmatches an out-copy.
 
     The first phase is the greedy pass that gives each free out-copy its
-    lowest free in-copy.  Every later phase takes its BFS layering from
-    one csgraph shortest-path call, retires the out-copies that cannot
-    reach a free in-copy along it, and augments by depth-first search
-    along the layering, in Python.
-    """
-    from scipy.sparse.csgraph import dijkstra
+    lowest free in-copy.  Every later phase layers the out-copies by a
+    level-synchronous numpy BFS from the free ones, retires those that
+    cannot reach a free in-copy along the layering by one backward sweep
+    over the same levels, and augments by depth-first search along the
+    layering, in Python.
 
+    A phase costs O(n + m) array work plus a fixed overhead of a few
+    tens of microseconds per BFS level, so its time grows with the depth
+    of the layering.  Random graphs layer shallowly (under 80 levels on
+    ER digraphs with 10^5 nodes); the greedy-defeating alternating chain
+    i -> n-1-i, i -> n-2-i has a single phase n levels deep, and took
+    about 0.15 s at n = 10^4 and 0.8 s at n = 5*10^4 on a 2-core Xeon.
+    """
     n = g.n_nodes
     indptr_a, heads_a = g.sorted_heads()
     indptr = indptr_a.tolist()
@@ -379,32 +404,51 @@ def _augment(g: DiGraph, pair_l, pair_r):
 
     inf = float("inf")
     has_edges = np.diff(indptr_a) > 0
-    src, dst = g.src, g.dst
     nxt = [0] * n  # next adjacency slot to try, per out-copy
+    mark = np.empty(n + 1, dtype=np.intp)  # scratch for deduplication
 
     def layering():
-        """Alternating BFS layer of each out-copy from the free ones (inf if
-        unreached), or None when no layer reaches a free in-copy."""
-        free = np.flatnonzero((np.array(pair_l) < 0) & has_edges)
-        mate = np.array(pair_r)[dst]
-        step = mate >= 0
-        if not free.size or step.all():
+        """(roots, dist): the free out-copies not retired, and each
+        out-copy's alternating BFS layer from the free ones, inf where
+        unreached or retired; None when no layer reaches a free in-copy."""
+        free = np.flatnonzero(
+            (np.fromiter(pair_l, dtype=np.intp, count=n) < 0) & has_edges)
+        # per slot; -1 at a free in-copy
+        mate = np.fromiter(pair_r, dtype=np.intp, count=n)[heads_a]
+        if not free.size or mate.min() >= 0:
             return None  # no free out-copy, or no free in-copy to reach
-        # a virtual root n has one arc into each free out-copy
-        arcs = _csgraph(n + 1,
-                        np.concatenate([src[step], np.full(len(free), n)]),
-                        np.concatenate([mate[step], free]))
-        dist = dijkstra(arcs, indices=n, unweighted=True)[:n] - 1.0
-        ends = np.isfinite(dist[src]) & (mate < 0)
-        if not ends.any():
-            return None
+        # `dist` and `alive` carry one entry past the out-copies, n, which
+        # mate = -1 indexes: it stands for every free in-copy, seen at
+        # layer 0 so that it is never queued, and alive
+        dist = np.full(n + 1, inf)
+        dist[n] = 0.0
+        levels = []  # per layer: (tail, mate) of every slot of its rows
+        frontier, depth = free, 0.0
+        while frontier.size:
+            dist[frontier] = depth
+            slots, tails = _rows(indptr_a, frontier)
+            mates = mate[slots]
+            levels.append((tails, mates))
+            new = mates[dist[mates] == inf]
+            # keep each out-copy once: the copy whose mark stays
+            order = np.arange(len(new))
+            mark[new] = order
+            frontier = new[mark[new] == order]
+            depth += 1.0
         # Retire up front every out-copy with no layered path to a free
         # in-copy: no augmentation in this phase gives it one, so its
-        # search could only fail (see `augment_from`).
-        layered = step & (dist[np.maximum(mate, 0)] == dist[src] + 1)
-        alive = reach_mask(n, mate[layered], src[layered], src[ends])
+        # search could only fail (see `augment_from`).  Deepest layer
+        # first, an out-copy stays alive if a slot of its row holds a free
+        # in-copy or the partner of one on an alive out-copy: that partner
+        # lies one layer down, as no deeper layer is swept yet.
+        alive = np.zeros(n + 1, dtype=bool)
+        alive[n] = True
+        for tails, mates in reversed(levels):
+            alive[tails[alive[mates]]] = True
+        if not alive[free].any():
+            return None
         dist[~alive] = inf
-        return free[alive[free]].tolist(), dist.tolist()
+        return free[alive[free]].tolist(), dist[:n].tolist()
 
     def augment_from(root, dist):
         """Depth-first search from a free out-copy along the layering;
@@ -480,16 +524,37 @@ def _csgraph(n, src, dst):
     return csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
 
 
-def component_ids(n, src, dst, connection="strong"):
-    """Strong or weak component of each of n nodes under the arcs
-    src[i] -> dst[i], as an int array; components are numbered in order of
-    their smallest member."""
+def component_ids(n, src, dst):
+    """Strong component of each of n nodes under the arcs src[i] -> dst[i],
+    as an int array; components are numbered in order of their smallest
+    member."""
     from scipy.sparse.csgraph import connected_components
 
     _, labels = connected_components(_csgraph(n, src, dst), directed=True,
-                                     connection=connection)
+                                     connection="strong")
     _, first = np.unique(labels, return_index=True)
     return np.unique(first[labels], return_inverse=True)[1]
+
+
+def weak_component_ids(n, src, dst):
+    """Weak component of each of n nodes under the arcs src[i] -> dst[i],
+    as an int array numbered like `component_ids`.
+
+    Each node points at a member of its component no larger than itself,
+    and a root points at itself.  A round hooks each root to its smallest
+    neighbouring root, then jumps pointers until each node points at its
+    root; it stops when no arc joins two roots.  Pointers only decrease,
+    so a root is the smallest member of its component.
+    """
+    parent = np.arange(n)
+    while (cross := parent[src] != parent[dst]).any():
+        src, dst = src[cross], dst[cross]  # arcs inside one tree stay inside
+        a, b = parent[src], parent[dst]
+        np.minimum.at(parent, a, b)
+        np.minimum.at(parent, b, a)
+        while not np.array_equal(up := parent[parent], parent):
+            parent = up
+    return np.unique(parent, return_inverse=True)[1]
 
 
 def reach_mask(n, src, dst, sources):

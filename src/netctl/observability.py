@@ -21,10 +21,10 @@ from .errors import (
 from .graphs import (
     DiGraph,
     UnGraph,
-    component_ids,
     reach_mask,
     scc_roots,
     transpose,
+    weak_component_ids,
 )
 from .structural import DriverReport, min_driver_set
 
@@ -313,7 +313,7 @@ def observability_transition(
         observed = chosen.copy()
         observed[owner[chosen[nbrs]]] = True
         keep = observed[g.u] & observed[g.v]
-        ids = component_ids(n, g.u[keep], g.v[keep], connection="weak")
+        ids = weak_component_ids(n, g.u[keep], g.v[keep])
         sizes.append(np.bincount(ids[observed], minlength=1).max())
     return float(np.mean(sizes)) / n
 

@@ -332,8 +332,15 @@ def pyragas_feedback(sys, output, k_gain, tau, t_final, x0, dt=0.02):
         raise InvalidArgument("the step must be positive and finite, and "
                               "the horizon finite")
 
-    n_delay = max(int(round(tau / dt)), 4)
+    # the trajectory is one array: refuse a step count no array can hold
+    max_rows = np.iinfo(np.intp).max // (sys.n * np.dtype(float).itemsize)
+    n_delay = max(round(min(tau / dt, max_rows)), 4)
     dt = tau / n_delay  # snap the step so the delay is a whole number of steps
+    steps = n_delay + (t_final / dt if dt else math.inf)
+    if not steps + 2 <= max_rows:
+        raise InvalidArgument(f"the delay {tau:g} and horizon {t_final:g} "
+                              f"need {steps:.3g} RK4 steps, more than one "
+                              f"array holds")
     n_main = int(round(t_final / dt))
     if n_main < 1:
         raise InvalidArgument("horizon must span at least one step")

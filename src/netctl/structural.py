@@ -21,6 +21,7 @@ from .graphs import (
     maximum_matching,
     reach_mask,
     scc_roots,
+    weak_component_ids,
 )
 
 CRITICAL = "critical"
@@ -318,7 +319,7 @@ def switchboard_drivers(g: DiGraph):
     n = g.n_nodes
     in_deg = np.bincount(g.dst, minlength=n)
     out_deg = np.bincount(g.src, minlength=n)
-    comp = component_ids(n, g.src, g.dst, connection="weak")
+    comp = weak_component_ids(n, g.src, g.dst)
     unbalanced = np.bincount(comp, weights=(in_deg != out_deg) | (in_deg < 1))
     _, lowest = np.unique(comp, return_index=True)
     drivers = np.union1d(np.flatnonzero(out_deg > in_deg),

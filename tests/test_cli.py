@@ -346,6 +346,20 @@ class TestTypedErrors:
         run_error(capsys, [a.format(**paths) for a in argv],
                   "InvalidArgument")
 
+    @pytest.mark.parametrize("argv, steps", [
+        (["pyragas", "--tau", "1e-300"], "8e+302"),
+        (["pyragas", "--tau", "5e-324"], "inf"),
+        (["pyragas", "--tau", "1e-300", "--t", "1e10"], "inf"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_pyragas_step_count_beyond_any_array(self, capsys, argv, steps):
+        """A delay far below the step gives t/τ·4 steps: a count no array
+        can hold is refused before the trajectory is allocated."""
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("InvalidArgument: ") and err.count("\n") == 1
+        assert f"need {steps} RK4 steps" in err
+
 
 FUZZ_LABEL = st.sampled_from(["a", "b", "c", "d", "0", "1", "2", "-1", "é",
                               "节点", "x#", "#", "1.5"])

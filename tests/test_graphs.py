@@ -1,4 +1,5 @@
 import random
+from types import SimpleNamespace
 
 import networkx as nx
 import numpy as np
@@ -19,6 +20,7 @@ from netctl.graphs import (
     reach_mask,
     scc_roots,
     transpose,
+    weak_component_ids,
 )
 from netctl.generators import er_digraph
 from netctl.structural import control_centrality
@@ -260,6 +262,21 @@ class TestMatchingAgainstReference:
         assert m.pair_left.tolist() == pair_l
         assert m.pair_right.tolist() == pair_r
 
+    def test_alternating_chain(self):
+        """Arcs i -> n-1-i and i -> n-2-i: the greedy pass matches every
+        out-copy but n - 1, and the one augmenting path left alternates
+        through all n of them, so the layering is n levels deep."""
+        n = 10_000
+        src = np.concatenate([np.arange(n), np.arange(n - 1)])
+        dst = np.concatenate([n - 1 - np.arange(n), n - 2 - np.arange(n - 1)])
+        g = DiGraph.from_arrays(n, src, dst)
+        m = maximum_matching(g)
+        pair_l, pair_r = hopcroft_karp_reference(
+            n, list(zip(src.tolist(), dst.tolist())))
+        assert m.pair_left.tolist() == pair_l
+        assert m.pair_right.tolist() == pair_r
+        assert m.size == n
+
     def test_any_maximum_matching_is_a_maximum_matching(self):
         for n, pairs in seeded_small_digraphs(500, 77):
             g = digraph(n, pairs)
@@ -372,9 +389,8 @@ class TestAgainstNetworkx:
     def test_weak_components(self, n, k, seed):
         g = er_digraph(n, k, np.random.default_rng(seed))
         want = sorted(sorted(c) for c in
-                      nx.connected_components(nx_digraph(g).to_undirected()))
-        assert members(component_ids(n, g.src, g.dst,
-                                     connection="weak")) == want
+                      nx.weakly_connected_components(nx_digraph(g)))
+        assert members(weak_component_ids(n, g.src, g.dst)) == want
 
     def test_matching_size(self, n, k, seed):
         g = er_digraph(n, k, np.random.default_rng(seed))
@@ -393,6 +409,91 @@ class TestAgainstNetworkx:
         sources = random.Random(seed).sample(range(n), 5)
         want = set(sources).union(*(nx.descendants(h, s) for s in sources))
         assert reached(g, sources) == sorted(want)
+
+
+class _CountingNumpy:
+    """numpy, counting the calls of `minimum.at`: `weak_component_ids`
+    makes two per hooking round."""
+
+    def __init__(self):
+        self.calls = 0
+        self.minimum = SimpleNamespace(at=self._minimum_at)
+
+    def _minimum_at(self, *args):
+        self.calls += 1
+        np.minimum.at(*args)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def shuffled_path(n, seed):
+    order = np.random.default_rng(seed).permutation(n)
+    return order[:-1], order[1:]
+
+
+def star_of_stars(hubs, leaves, seed):
+    """A centre joined to `hubs` hubs, each with `leaves` leaves of its
+    own, under shuffled labels and arc directions."""
+    rng = np.random.default_rng(seed)
+    n = 1 + hubs * (1 + leaves)
+    hub = 1 + np.arange(hubs)
+    leaf = np.arange(1 + hubs, n)
+    tail = np.concatenate([np.zeros(hubs, dtype=np.intp),
+                           np.repeat(hub, leaves)])
+    label = rng.permutation(n)
+    src, dst = label[tail], label[np.concatenate([hub, leaf])]
+    flip = rng.random(len(src)) < 0.5
+    return n, np.where(flip, dst, src), np.where(flip, src, dst)
+
+
+class TestWeakComponents:
+    def test_small_digraphs(self):
+        for n, pairs in seeded_small_digraphs(2000, 31):
+            g = digraph(n, pairs)
+            want = sorted(sorted(c) for c in
+                          nx.weakly_connected_components(nx_digraph(g)))
+            assert members(weak_component_ids(n, g.src, g.dst)) == want
+
+    def test_empty(self):
+        none = np.zeros(0, dtype=np.intp)
+        assert weak_component_ids(0, none, none).tolist() == []
+        assert weak_component_ids(3, none, none).tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize("n, src, dst", [
+        (10_000, *shuffled_path(10_000, 1)),
+        (100_000, *shuffled_path(100_000, 2)),
+        star_of_stars(100, 100, 3),
+        star_of_stars(1000, 3, 4),
+    ], ids=["path-1e4", "path-1e5", "star-100x100", "star-1000x3"])
+    def test_one_component_in_logarithmic_rounds(self, monkeypatch, n, src,
+                                                 dst):
+        counting = _CountingNumpy()
+        monkeypatch.setattr(graphs, "np", counting)
+        ids = weak_component_ids(n, src, dst)
+        monkeypatch.undo()
+        assert ids.tolist() == [0] * n
+        assert 1 <= counting.calls // 2 <= np.log2(n)
+
+    def test_forest_against_networkx(self):
+        """Shuffled paths and stars of stars side by side."""
+        parts = [(n, src, dst) for n, src, dst in (
+            (300, *shuffled_path(300, 5)), star_of_stars(7, 9, 6),
+            (1, np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)),
+            star_of_stars(20, 2, 7), (50, *shuffled_path(50, 8)))]
+        offsets = np.cumsum([0] + [n for n, _, _ in parts])
+        n = int(offsets[-1])
+        label = np.random.default_rng(9).permutation(n)
+        src = label[np.concatenate([s + o for (_, s, _), o in
+                                    zip(parts, offsets)])]
+        dst = label[np.concatenate([d + o for (_, _, d), o in
+                                    zip(parts, offsets)])]
+        h = nx.DiGraph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(zip(src.tolist(), dst.tolist()))
+        want = sorted(sorted(c) for c in nx.weakly_connected_components(h))
+        assert len(want) == len(parts)
+        assert members(weak_component_ids(n, src, dst)) == want
 
 
 class TestCyclePartition:

@@ -55,7 +55,7 @@ CSGRAPH = {"sparse", "linalg"}
 # every subcommand with short arguments, and the public scipy subpackages
 # its run may load
 FOOTPRINT = [
-    (["drivers", "--input", "{di}"], CSGRAPH),
+    (["drivers", "--input", "{di}"], set()),
     (["check", "--input", "{di}", "--drivers", "a"], CSGRAPH),
     (["classify-links", "--input", "{di}"], CSGRAPH),
     (["classify-nodes", "--input", "{di}"], CSGRAPH),
@@ -63,7 +63,7 @@ FOOTPRINT = [
     (["profile", "--input", "{di}"], CSGRAPH),
     (["centrality", "--input", "{di}", "--nodes", "a"], CSGRAPH),
     (["actuators", "--input", "{di}"], CSGRAPH),
-    (["switchboard", "--input", "{di}"], CSGRAPH),
+    (["switchboard", "--input", "{di}"], set()),
     (["cavity", "--dist", "sf-static", "--kmean", "4"], set()),
     (["exact-nd", "--a", "{a}"], set()),
     (["energy", "--a", "{a}", "--b", "{b}", "--t", "2"], set()),
@@ -73,7 +73,7 @@ FOOTPRINT = [
      CSGRAPH),
     (["mds", "--input", "{un}"], set()),
     (["obs-transition", "--input", "{un}", "--phi", "0.5", "--trials", "2"],
-     CSGRAPH),
+     set()),
     (["observer", "--a", "{a}", "--c", "{c}", "--l", "{l}", "--x0", "1,0,0",
       "--z0", "0,0,0", "--t", "1"], set()),
     (["hubler", "--a", "{a}"], set()),
@@ -186,14 +186,20 @@ def test_mds_runs_without_scipy(tmp_path, capsys):
     assert got["out"] == capsys.readouterr().out
 
 
-def test_drivers_loads_only_csgraph_kernels(tmp_path):
+def test_drivers_switchboard_obs_transition_run_without_scipy(tmp_path,
+                                                             capsys):
+    """The canonical matching and the weak components are numpy."""
     edges = tmp_path / "g.edges"
-    edges.write_text("a b\nb c\nc a\nc d\n")
-    got = run_fresh(["drivers", "--input", str(edges)])
-    assert got["code"] == 0
-    assert "scipy.sparse.csgraph" in got["modules"]
-    for unused in ("scipy.integrate", "scipy.optimize", "scipy.spatial"):
-        assert unused not in got["modules"]
+    edges.write_text("a b\nb c\nc a\nc d\nd e\ne c\nf e\n")
+    for argv in (["drivers", "--input", str(edges)],
+                 ["switchboard", "--input", str(edges)],
+                 ["obs-transition", "--input", str(edges), "--phi", "0.4",
+                  "--trials", "3"]):
+        got = run_fresh(argv)
+        assert got["code"] == 0
+        assert not scipy_modules(got["modules"]), argv
+        assert cli.main(argv) == 0
+        assert got["out"] == capsys.readouterr().out
 
 
 def test_simulations_run_without_scipy():

@@ -2,7 +2,7 @@
 
 Submodules:
   graphs        digraph/bipartite primitives, matching, SCCs, cores
-  generators    random graph ensembles (ER, configuration model, BA)
+  generators    random graph ensembles (ER, BA)
   structural    minimum drivers, link/node classes, profiles, actuators
   cavity        ensemble-averaged driver density via generating functions
   exact         eigenvalue-based (PBH) minimum inputs for weighted systems

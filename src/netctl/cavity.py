@@ -91,39 +91,6 @@ class SFStaticDist:
         return min(float(np.exp(e).sum()) / self.mean, 1.0)
 
 
-class EmpiricalDist:
-    """Degree distribution from an observed histogram."""
-
-    def __init__(self, counts):
-        counts = np.asarray(counts, dtype=float)
-        if counts.ndim != 1 or counts.size == 0 or (counts < 0).any():
-            raise InvalidArgument("need a 1-d nonnegative histogram")
-        total = counts.sum()
-        if total == 0:
-            raise InvalidArgument("empty histogram")
-        self.p = counts / total
-        self.mean = float(np.arange(counts.size) @ self.p)
-
-    @classmethod
-    def from_degrees(cls, degrees):
-        degrees = np.asarray(degrees, dtype=np.int64)
-        return cls(np.bincount(degrees))
-
-    def pmf(self, k: int) -> float:
-        return float(self.p[k]) if k < self.p.size else 0.0
-
-    def g(self, x: float) -> float:
-        # Horner evaluation of sum_k p_k x^k
-        acc = 0.0
-        for pk in self.p[::-1]:
-            acc = acc * x + pk
-        return acc
-
-    def h(self, x: float) -> float:
-        ks = np.arange(1, self.p.size)
-        return float((ks * self.p[1:]) @ x ** (ks - 1)) / self.mean
-
-
 @dataclass
 class CavityState:
     w1: float
@@ -132,10 +99,6 @@ class CavityState:
     w1_hat: float
     w2_hat: float
     w3_hat: float
-
-    def as_tuple(self):
-        return (self.w1, self.w2, self.w3,
-                self.w1_hat, self.w2_hat, self.w3_hat)
 
 
 def solve_cavity(dist_in, dist_out, z: float, max_iter: int = 100_000):
@@ -193,29 +156,3 @@ def solve_cavity_sf(k_mean: float, gamma: float, **kwargs):
     total degree k_mean and exponent gamma (same in and out)."""
     d = SFStaticDist(k_mean / 2.0, gamma)
     return solve_cavity(d, d, k_mean, **kwargs)
-
-
-def nd_asymptotic(kind: str, k_mean: float, gamma: float = None) -> float:
-    """Large-<k> closed forms for the driver fraction: exp(-k/2) for the
-    Erdős–Rényi ensemble, exp(-(1/2)(1 - 1/(gamma-1)) k) for the
-    static-model scale-free ensemble."""
-    if kind == "er":
-        return math.exp(-k_mean / 2.0)
-    if kind == "sf-static":
-        if gamma is None or gamma <= 2:
-            raise InvalidArgument("need gamma > 2")
-        return math.exp(-0.5 * (1.0 - 1.0 / (gamma - 1.0)) * k_mean)
-    raise InvalidArgument(f"unknown ensemble kind {kind!r}")
-
-
-def cavity_residual(dist_in, dist_out, state: CavityState) -> float:
-    """Max violation of the six self-consistency equations at `state`."""
-    w1, w2, w3, w1h, w2h, w3h = state.as_tuple()
-    return max(
-        abs(w1 - dist_out.h(w2h)),
-        abs(w2 - (1.0 - dist_out.h(1.0 - w1h))),
-        abs(w3 - (1.0 - w1 - w2)),
-        abs(w1h - dist_in.h(w2)),
-        abs(w2h - (1.0 - dist_in.h(1.0 - w1))),
-        abs(w3h - (1.0 - w1h - w2h)),
-    )

@@ -390,6 +390,8 @@ def cmd_pinning(args):
 
     from . import collective
 
+    if not 0 < args.fraction <= 1:
+        raise InvalidArgument("the pinned fraction must lie in (0, 1]")
     g = _read_graph(args.input, directed=False)
     lap = collective.laplacian_matrix(g)
     n = g.n_nodes
@@ -398,9 +400,6 @@ def cmd_pinning(args):
         deg = np.diag(lap)
         pinned = list(np.argsort(-deg)[:k])
     else:
-        if k > n:
-            raise InvalidArgument("random pinning needs a fraction of at "
-                                  "most 1")
         rng = np.random.default_rng(args.seed)
         pinned = list(rng.choice(n, k, replace=False))
     # the eigenratio does not depend on the coupling strength σ

@@ -65,17 +65,6 @@ def msf_eigenratio(g: UnGraph):
     return float(lam2), float(lam_n), float(lam_n / lam2)
 
 
-def extended_matrix(cfg: PinningConfig) -> np.ndarray:
-    """(N+1)-node matrix whose spectrum governs pinned synchronization: the
-    reference enters as a virtual node wired to the pinned set."""
-    n = cfg.n_nodes
-    delta_kappa = cfg.indicator() * cfg.kappa
-    m = np.zeros((n + 1, n + 1))
-    m[:n, :n] = cfg.coupling + np.diag(delta_kappa)
-    m[:n, n] = -delta_kappa
-    return m
-
-
 def pinning_eigenratio(cfg: PinningConfig):
     """Returns (Re λ₂, Re λ_{N+1}, R^{N+1}) of the extended matrix.  Its
     spectrum is {0} ∪ eig(G + diag(δκ)) because the virtual row vanishes."""
@@ -293,16 +282,3 @@ def vicsek_leader_run(n, l, v0, r, theta0, steps, seed=0, eta=0.0):
         leader_pos = np.mod(leader_pos + leader_vel, l)
         deviation[step] = np.abs(theta - theta0).max()
     return deviation
-
-
-def scalar_consensus_run(theta, adjacency, steps):
-    """Leaderless scalar-averaging update on a fixed interaction graph;
-    returns the heading matrix over time (one row per step)."""
-    adjacency = np.asarray(adjacency, dtype=float)
-    n = len(theta)
-    weights = adjacency + np.eye(n)
-    weights = weights / weights.sum(axis=1, keepdims=True)
-    out = [np.asarray(theta, dtype=float)]
-    for _ in range(steps):
-        out.append(weights @ out[-1])
-    return np.array(out)

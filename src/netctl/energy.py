@@ -173,23 +173,3 @@ def energy_spectrum(sys: DenseSystem, t_final: float):
     _inverse(gr.eta, sys.n)  # H(T) is finite before eigh reads it
     eta, vec = np.linalg.eigh(gr.h)
     return _inverse(eta[::-1], sys.n), vec[:, ::-1]
-
-
-def log_binned_density(samples, n_bins: int = 20):
-    """Log-binned probability density of positive samples; returns
-    (bin centers, densities) with empty bins dropped."""
-    samples = np.asarray(samples, dtype=float)
-    samples = samples[samples > 0]
-    lo, hi = samples.min(), samples.max()
-    edges = np.geomspace(lo, hi * (1 + 1e-12), n_bins + 1)
-    counts, _ = np.histogram(samples, bins=edges)
-    widths = np.diff(edges)
-    centers = np.sqrt(edges[:-1] * edges[1:])
-    dens = counts / (widths * samples.size)
-    keep = counts > 0
-    return centers[keep], dens[keep]
-
-
-def trajectory_energy(trace: ControlTrace) -> float:
-    """Trapezoidal quadrature of ∫ ||u(t)||² dt along a control trace."""
-    return float(np.trapezoid((trace.u**2).sum(axis=1), trace.t))

@@ -53,10 +53,6 @@ class UnknownSystem(NetctlError, KeyError):
     __str__ = NetctlError.__str__
 
 
-class RejectionFailure(NetctlError):
-    pass
-
-
 class DimensionMismatch(NetctlError):
     pass
 

@@ -1,6 +1,6 @@
-"""Numeric linear-algebra controllability: Kalman rank and the
-eigenvalue-wise (PBH) minimum driver count with driver selection, plus
-the matrix exponential that the Gramian and the observer use.
+"""Numeric linear-algebra controllability: the eigenvalue-wise (PBH)
+minimum driver count with driver selection, plus the matrix exponential
+that the Gramian and the observer use.
 """
 from __future__ import annotations
 
@@ -92,33 +92,8 @@ def _expm(a):
     return r
 
 
-def _matrix_rank(m, tol=None):
-    if m.size == 0:
-        return 0
-    s = np.linalg.svd(m, compute_uv=False)
-    if tol is None:
-        tol = max(m.shape) * np.finfo(float).eps * (s[0] if s[0] > 0 else 1.0)
-    return int((s > tol).sum())
-
-
-def kalman_rank(sys: DenseSystem):
-    """Rank of the reachability matrix [B, AB, ..., A^(N-1)B].
-
-    Limited to N <= 50: high matrix powers mix extreme scales and the
-    explicit construction loses meaning numerically beyond that.
-    Returns (rank, controllable).
-    """
-    n = sys.n
-    if n > 50:
-        raise InvalidArgument("explicit reachability matrix limited to "
-                              "N <= 50; use pbh_min_drivers for larger "
-                              "systems")
-    blocks = [sys.b]
-    for _ in range(n - 1):
-        blocks.append(sys.a @ blocks[-1])
-    ctrb = np.hstack(blocks)
-    r = _matrix_rank(ctrb)
-    return r, r == n
+def _matrix_rank(m, tol):
+    return int((np.linalg.svd(m, compute_uv=False) > tol).sum())
 
 
 def _pbh_scale(a):
@@ -332,17 +307,6 @@ def pbh_min_drivers(a):
             f"[A - λI, B] = {n} with {n_d} inputs at "
             f"λ = {complex(lam):.10g}")
     return n_d, lam, drivers
-
-
-def pbh_controllable(sys: DenseSystem) -> bool:
-    """Eigenvalue-wise rank test: rank [A - λI, B] = N for every λ."""
-    n = sys.n
-    tol = 1e-8 * _pbh_scale(sys.a)
-    centers, _ = _cluster_eigenvalues(np.linalg.eigvals(sys.a), tol)
-    return all(
-        _matrix_rank(np.hstack([_shifted(sys.a, lam), sys.b]), tol=tol) == n
-        for lam in centers
-    )
 
 
 def self_loop_sweep(a, loop_weights, densities, seeds):

@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InvalidArgument, RejectionFailure
+from .errors import InvalidArgument
 from .graphs import DiGraph, UnGraph
 
 
@@ -23,54 +23,6 @@ def er_digraph(n: int, k_mean: float, rng: np.random.Generator) -> DiGraph:
     rem = codes % (n - 1)
     dst = rem + (rem >= src)
     return DiGraph.from_arrays(n, src, dst)
-
-
-def poisson_degree_pair(n: int, k_mean: float, rng: np.random.Generator):
-    """In/out degree sequences, each Poisson(k_mean/2), repaired to equal
-    stub totals by adding stubs at uniformly chosen nodes."""
-    out_deg = rng.poisson(k_mean / 2.0, n)
-    in_deg = rng.poisson(k_mean / 2.0, n)
-    diff = int(out_deg.sum() - in_deg.sum())
-    short = in_deg if diff > 0 else out_deg
-    for v in rng.integers(0, n, size=abs(diff)):
-        short[v] += 1
-    return out_deg, in_deg
-
-
-def config_model_digraph(out_deg, in_deg, rng: np.random.Generator) -> DiGraph:
-    """Directed configuration model: out-stubs paired with a uniformly
-    shuffled list of in-stubs.  Self-loops and multi-edges are repaired by
-    re-pairing the offending stubs; after 100 passes a graph that still
-    contains either raises RejectionFailure."""
-    out_deg = np.asarray(out_deg, dtype=np.int64)
-    in_deg = np.asarray(in_deg, dtype=np.int64)
-    if out_deg.sum() != in_deg.sum():
-        raise InvalidArgument("stub totals differ")
-    n = out_deg.size
-    src = np.repeat(np.arange(n), out_deg)
-    dst = np.repeat(np.arange(n), in_deg)
-    rng.shuffle(dst)
-    m = src.size
-    for _ in range(100):
-        codes = src * n + dst
-        order = np.argsort(codes, kind="stable")
-        sorted_codes = codes[order]
-        dup = np.zeros(m, dtype=bool)
-        dup[order[1:]] = sorted_codes[1:] == sorted_codes[:-1]
-        bad = np.flatnonzero(dup | (src == dst))
-        if bad.size == 0:
-            return DiGraph.from_arrays(n, src, dst)
-        # swap each offending in-stub with a uniformly random partner
-        partners = rng.integers(0, m, size=bad.size)
-        for b, r in zip(bad, partners):
-            dst[b], dst[r] = dst[r], dst[b]
-    raise RejectionFailure("configuration model failed after 100 repair "
-                           "passes")
-
-
-def poisson_config_digraph(n, k_mean, rng) -> DiGraph:
-    out_deg, in_deg = poisson_degree_pair(n, k_mean, rng)
-    return config_model_digraph(out_deg, in_deg, rng)
 
 
 def ba_graph(n: int, m: int, rng: np.random.Generator) -> UnGraph:

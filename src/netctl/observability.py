@@ -278,16 +278,6 @@ def mds_solve(g: UnGraph):
     return sorted(occupied), exact
 
 
-def is_dominating_set(g: UnGraph, nodes) -> bool:
-    indptr, nbrs = g.neighbours()
-    chosen = np.zeros(g.n_nodes, dtype=bool)
-    chosen[np.fromiter(nodes, dtype=np.intp)] = True
-    owner = np.repeat(np.arange(g.n_nodes), np.diff(indptr))
-    dominated = chosen.copy()
-    dominated[owner[chosen[nbrs]]] = True
-    return bool(dominated.all())
-
-
 def observability_transition(
     g: UnGraph,
     phi: float,

@@ -372,39 +372,6 @@ def pyragas_feedback(sys, output, k_gain, tau, t_final, x0, dt=0.02):
                     mismatch=float(np.abs(lag[-tail:]).max()))
 
 
-def close_return_period(sys, x0, t_transient, t_max, dt=0.01, t_min=1.0,
-                        t_search=300.0):
-    """Locate a periodic-orbit period by recurrence search: scan reference
-    points along the post-transient flow and find the pair (point, lag)
-    with the smallest return distance for lags in [t_min, t_max].  A point
-    shadowing the orbit returns almost exactly after one period.  Returns
-    (period, return_distance)."""
-    if not (0 < dt < math.inf
-            and 1 <= t_min / dt <= t_max / dt < t_search / dt < math.inf):
-        raise InvalidArgument("need 0 < dt ≤ t_min ≤ t_max < t_search, all "
-                              "finite")
-    ref = _rk45(sys.f, t_transient, x0, 1e-9, 1e-11)
-    t_eval = np.arange(0.0, t_search + dt / 2, dt)
-    xs = _rk45(sys.f, t_search, ref, 1e-9, 1e-11, t_eval)
-    lo, hi = int(t_min / dt), int(t_max / dt)
-    best = (np.inf, lo, 0)
-    for lag in range(lo, hi + 1):
-        d = np.linalg.norm(xs[lag:] - xs[:-lag], axis=1)
-        i = int(np.argmin(d))
-        if d[i] < best[0]:
-            best = (float(d[i]), lag, i)
-    dist_best, lag, i = best
-    # parabolic refinement of the lag at the best reference point
-    if lo < lag < hi:
-        seg = [np.linalg.norm(xs[i + k] - xs[i]) for k in
-               (lag - 1, lag, lag + 1)]
-        denom = seg[0] - 2 * seg[1] + seg[2]
-        shift = 0.5 * (seg[0] - seg[2]) / denom if denom > 0 else 0.0
-    else:
-        shift = 0.0
-    return float((lag + shift) * dt), dist_best
-
-
 # ---------------------------------------------------------------------------
 # Compensatory perturbations of the initial state
 

@@ -1,7 +1,9 @@
-"""Independent brute-force oracles used across the test suite.
+"""Independent brute-force oracles and result checkers used across the
+test suite.
 
-Everything here enumerates; nothing calls the algorithms under test.
+Nothing here calls the algorithms under test.
 """
+import dataclasses
 import itertools
 
 import numpy as np
@@ -489,3 +491,38 @@ def fvs_rounds_reference(n, pairs):
                 h.subgraph(u for u in range(n) if u not in fvs or u == v)):
             fvs.discard(v)
     return sorted(fvs)
+
+
+def cavity_residual(dist_in, dist_out, state) -> float:
+    """Max violation of the six self-consistency equations at `state`."""
+    w1, w2, w3, w1h, w2h, w3h = dataclasses.astuple(state)
+    return max(
+        abs(w1 - dist_out.h(w2h)),
+        abs(w2 - (1.0 - dist_out.h(1.0 - w1h))),
+        abs(w3 - (1.0 - w1 - w2)),
+        abs(w1h - dist_in.h(w2)),
+        abs(w2h - (1.0 - dist_in.h(1.0 - w1))),
+        abs(w3h - (1.0 - w1h - w2h)),
+    )
+
+
+def is_dominating_set(g, nodes) -> bool:
+    """Whether every node of g is in `nodes` or next to one of them."""
+    indptr, nbrs = g.neighbours()
+    chosen = np.zeros(g.n_nodes, dtype=bool)
+    chosen[np.fromiter(nodes, dtype=np.intp)] = True
+    owner = np.repeat(np.arange(g.n_nodes), np.diff(indptr))
+    dominated = chosen.copy()
+    dominated[owner[chosen[nbrs]]] = True
+    return bool(dominated.all())
+
+
+def extended_matrix(cfg) -> np.ndarray:
+    """(N+1)-node matrix whose spectrum governs pinned synchronization: the
+    reference enters as a virtual node wired to the pinned set."""
+    n = cfg.n_nodes
+    delta_kappa = cfg.indicator() * cfg.kappa
+    m = np.zeros((n + 1, n + 1))
+    m[:n, :n] = cfg.coupling + np.diag(delta_kappa)
+    m[:n, n] = -delta_kappa
+    return m

@@ -293,6 +293,10 @@ class TestTypedErrors:
          "--trials", "0"],
         ["pinning", "--input", "{un}", "--kappa", "0"],
         ["pinning", "--input", "{un}", "--fraction", "2"],
+        ["pinning", "--input", "{un}", "--fraction", "0"],
+        ["pinning", "--input", "{un}", "--fraction", "-1"],
+        ["pinning", "--input", "{un}", "--fraction", "2", "--strategy",
+         "degree"],
         ["cavity", "--dist", "er", "--kmean", "-1"],
         ["cavity", "--dist", "er", "--kmean", "0"],
         ["cavity", "--dist", "sf-static", "--kmean", "0"],

@@ -3,13 +3,11 @@ import pytest
 
 from netctl.collective import (
     PinningConfig,
-    extended_matrix,
     laplacian_matrix,
     msf_eigenratio,
     order_parameter,
     pinning_eigenratio,
     pinning_sync_simulate,
-    scalar_consensus_run,
     vicsek_init,
     vicsek_leader_run,
     vicsek_order_parameter,
@@ -19,6 +17,7 @@ from netctl.errors import DisconnectedGraph, InvalidArgument, NoPinnedNodes
 from netctl.generators import ba_graph
 from netctl.graphs import UnGraph
 from netctl.steering import OdeSystem, make_system
+from oracles import extended_matrix
 
 
 def ring(n):
@@ -250,23 +249,3 @@ class TestLeader:
         dev = vicsek_leader_run(10, 1.0, 0.03, 0.0, theta0=0.7, steps=50,
                                 seed=14)
         assert dev[-1] == dev[0]
-
-    def test_static_consensus_geometric(self):
-        rng = np.random.default_rng(15)
-        theta = rng.uniform(-1.0, 1.0, 8)
-        adj = np.ones((8, 8)) - np.eye(8)
-        hist = scalar_consensus_run(theta, adj, 30)
-        spreads = np.ptp(hist, axis=1)
-        assert (np.diff(spreads[spreads > 1e-14]) < 0).all()
-        assert spreads[-1] < 1e-12
-        assert abs(hist[-1].mean() - theta.mean()) < 1e-12
-
-    def test_connected_spread_decreasing(self):
-        rng = np.random.default_rng(16)
-        theta = rng.uniform(-2.0, 2.0, 10)
-        lap = laplacian_matrix(ring(10))
-        adj = -(lap - np.diag(np.diag(lap)))
-        hist = scalar_consensus_run(theta, adj, 200)
-        spreads = np.ptp(hist, axis=1)
-        assert (np.diff(spreads) < 1e-14).all()
-        assert spreads[-1] < 1e-3

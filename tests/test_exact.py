@@ -14,8 +14,6 @@ from netctl.exact import (
     _expm,
     chain_matrix,
     complete_matrix,
-    kalman_rank,
-    pbh_controllable,
     pbh_min_drivers,
     ring_matrix,
     self_loop_sweep,
@@ -24,7 +22,7 @@ from netctl.exact import (
 from netctl.generators import er_digraph
 from netctl.graphs import DiGraph
 from netctl.structural import min_driver_set
-from oracles import kalman_rank_numeric, pbh_min_drivers_reference
+from oracles import pbh_min_drivers_reference
 
 
 def random_weighted(rng, n, density=0.3):
@@ -36,41 +34,7 @@ def random_weighted(rng, n, density=0.3):
     return a
 
 
-class TestKalmanRank:
-    def test_inverted_pendulum_pair(self):
-        g_over_l = 9.81
-        a = np.array([[0.0, 1.0], [g_over_l, 0.0]])
-        b = np.array([0.0, -g_over_l])
-        r, ok = kalman_rank(DenseSystem(a, b))
-        assert (r, ok) == (2, True)
-
-    def test_star_hub_input_rank_deficient(self):
-        a = np.array([[0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
-        b = np.array([1.0, 0, 0])
-        r, ok = kalman_rank(DenseSystem(a, b))
-        assert (r, ok) == (2, False)
-
-    def test_star_with_second_input(self):
-        a = np.array([[0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
-        b = np.array([[1.0, 0], [0, 1.0], [0, 0]])
-        r, ok = kalman_rank(DenseSystem(a, b))
-        assert (r, ok) == (3, True)
-
-    def test_matches_oracle(self):
-        rng = random.Random(3)
-        nprng = np.random.default_rng(3)
-        for _ in range(30):
-            n = rng.randint(2, 8)
-            a = random_weighted(nprng, n)
-            b = nprng.normal(size=(n, rng.randint(1, 3)))
-            r, _ = kalman_rank(DenseSystem(a, b))
-            assert r == kalman_rank_numeric(a, b)
-
-    def test_size_limit(self):
-        a = np.eye(60)
-        with pytest.raises(ValueError):
-            kalman_rank(DenseSystem(a, np.ones(60)))
-
+class TestDenseSystem:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             DenseSystem(np.eye(3), np.ones(2))
@@ -82,8 +46,6 @@ class TestPbhMinDrivers:
         huge = np.diag([1e300, 1.0])
         with pytest.raises(InvalidArgument):
             pbh_min_drivers(huge)
-        with pytest.raises(InvalidArgument):
-            pbh_controllable(DenseSystem(huge, np.ones((2, 1))))
         assert pbh_min_drivers(np.diag([1e150, 1.0]))[0] == 1
 
     def test_symmetric_matches_reference(self):
@@ -164,15 +126,6 @@ class TestPbhMinDrivers:
                     a[d, s] = nprng.uniform(0.5, 2.0) * nprng.choice([-1, 1])
                 votes.append(pbh_min_drivers(a)[0])
             assert max(nd_struct, 1) == max(set(votes), key=votes.count)
-
-    def test_kalman_pbh_equivalence(self):
-        rng = np.random.default_rng(23)
-        for _ in range(30):
-            n = int(rng.integers(2, 12))
-            sys = DenseSystem(random_weighted(rng, n),
-                              rng.normal(size=(n, int(rng.integers(1, 3)))))
-            _, ok = kalman_rank(sys)
-            assert ok == pbh_controllable(sys)
 
 
 def random_matrix(rng, kind):

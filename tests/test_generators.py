@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from netctl.errors import RejectionFailure
-from netctl.generators import (
-    ba_graph,
-    config_model_digraph,
-    er_digraph,
-    poisson_config_digraph,
-    poisson_degree_pair,
-)
+from netctl.generators import ba_graph, er_digraph
 
 
 class TestErDigraph:
@@ -27,32 +20,6 @@ class TestErDigraph:
         a = er_digraph(300, 3.0, np.random.default_rng(7))
         b = er_digraph(300, 3.0, np.random.default_rng(7))
         assert a.edges == b.edges
-
-
-class TestConfigModel:
-    def test_degree_sequence_exact(self):
-        rng = np.random.default_rng(2)
-        out_deg, in_deg = poisson_degree_pair(2000, 5.0, rng)
-        g = config_model_digraph(out_deg, in_deg, rng)
-        n = g.n_nodes
-        assert np.bincount(g.src, minlength=n).tolist() == list(out_deg)
-        assert np.bincount(g.dst, minlength=n).tolist() == list(in_deg)
-
-    def test_simple_graph(self):
-        rng = np.random.default_rng(3)
-        g = poisson_config_digraph(3000, 4.0, rng)
-        pairs = [(s, d) for s, d, _ in g.edges]
-        assert all(s != d for s, d in pairs)
-        assert len(set(pairs)) == len(pairs)
-
-    def test_stub_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            config_model_digraph([2, 0], [1, 0], np.random.default_rng(0))
-
-    def test_impossible_sequence_raises(self):
-        # two nodes demanding 3 distinct mutual targets cannot be simple
-        with pytest.raises(RejectionFailure):
-            config_model_digraph([3, 3], [3, 3], np.random.default_rng(0))
 
 
 class TestBaGraph:

@@ -18,7 +18,6 @@ from netctl.observability import (
     DEMO_REACTIONS,
     ReactionSystem,
     inference_diagram,
-    is_dominating_set,
     is_valid_sensor_set,
     luenberger_observe,
     mds_solve,
@@ -29,7 +28,7 @@ from netctl.observability import (
     target_sensor,
 )
 from netctl.structural import min_driver_set
-from oracles import brute_force_mds, mds_scan_reference
+from oracles import brute_force_mds, is_dominating_set, mds_scan_reference
 
 
 def random_ungraph(rng, n, p=0.25):

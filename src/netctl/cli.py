@@ -160,7 +160,7 @@ def cmd_centrality(args):
     from . import structural
 
     g = _read_graph(args.input, directed=True)
-    nodes = _indices(g, args.nodes)
+    nodes = list(dict.fromkeys(_indices(g, args.nodes)))
     return {"nodes": _labels(g, nodes),
             "control_centrality": structural.control_centrality(g, nodes)}
 

@@ -224,6 +224,8 @@ def vicsek_order_parameter(n, l, v0, r, eta, steps, seed=0,
         raise InvalidArgument("need at least one step")
     if not l > 0:
         raise InvalidArgument("box side must be positive")
+    if r < 0:
+        raise InvalidArgument("interaction radius must not be negative")
     if eta < 0:
         raise InvalidArgument("noise amplitude must not be negative")
     if transient is None:
@@ -252,6 +254,10 @@ def vicsek_leader_run(n, l, v0, r, theta0, steps, seed=0, eta=0.0):
         raise InvalidArgument("steps must not be negative")
     if not l > 0:
         raise InvalidArgument("box side must be positive")
+    if r < 0:
+        raise InvalidArgument("interaction radius must not be negative")
+    if eta < 0:
+        raise InvalidArgument("noise amplitude must not be negative")
     rng = _step_rng(seed, 0)
     pos = rng.uniform(0.0, l, (n, 2))
     theta = rng.uniform(-np.pi, np.pi, n)

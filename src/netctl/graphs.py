@@ -210,14 +210,6 @@ class Matching:
     def size(self):
         return int(np.count_nonzero(self.pair_left >= 0))
 
-    def matched_edges(self):
-        u = np.flatnonzero(self.pair_left >= 0)
-        return list(zip(u.tolist(), self.pair_left[u].tolist()))
-
-    def matched(self, i):
-        """A node is matched iff it is the head (in-copy) of a matching edge."""
-        return bool(self.pair_right[i] >= 0)
-
     def unmatched_nodes(self):
         return np.flatnonzero(self.pair_right < 0).tolist()
 

@@ -138,7 +138,6 @@ class SensorReport:
     sensors: list  # canonical choice: lowest-index node per root SCC
     n_sensors: int
     multiplicity: int  # number of minimum sensor sets (product of sizes)
-    pure_products: list  # root SCCs of size one (always sensors)
 
 
 def min_sensors(g: DiGraph) -> SensorReport:
@@ -153,8 +152,7 @@ def min_sensors(g: DiGraph) -> SensorReport:
              for i, k in zip(first.tolist(), size.tolist())]
     # a product of Python ints is exact; a numpy one overflows past 2**63
     mult = math.prod(size.tolist())
-    return SensorReport(roots, [r[0] for r in roots], len(roots), mult,
-                        [r[0] for r in roots if len(r) == 1])
+    return SensorReport(roots, [r[0] for r in roots], len(roots), mult)
 
 
 def is_valid_sensor_set(g: DiGraph, sensors) -> bool:

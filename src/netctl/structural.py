@@ -3,8 +3,9 @@
 Driver sets come from one canonical optimum (the Hopcroft-Karp matching
 with lowest-index augmentation).  Counts, link and node classes and
 Lin's test hold for every maximum matching, so they run on scipy's C
-matching instead.  Optima are exponentially numerous and never
-enumerated here.
+matching instead, and each is a search in that matching's alternating
+digraph D (`_alternating_structure`).  Optima are exponentially
+numerous and never enumerated here.
 """
 from __future__ import annotations
 
@@ -94,50 +95,37 @@ def structural_controllability_check(g: DiGraph, drivers):
     if not reach.all():
         return False, ("inaccessible", int(np.argmin(reach)))
     # bipartite split of (A, B): left 0..n-1 state out-copies and
-    # n..n+m-1 input copies, one per driver; right: state in-copies
-    left = np.concatenate([g.src, n + np.arange(len(drivers))])
-    right = np.concatenate([g.dst, drivers])
-    m = any_maximum_matching(DiGraph._of(n + len(drivers), left, right))
+    # n..n+k-1 input copies, one per driver; right: state in-copies
+    nk = n + len(drivers)
+    m, _, src, dst = _alternating_structure(DiGraph._of(
+        nk, np.concatenate([g.src, np.arange(n, nk)]),
+        np.concatenate([g.dst, drivers])))
     exposed = np.flatnonzero(m.pair_right[:n] < 0)
     if not exposed.size:
         return True, None
-    # alternating search over in-copy v -> each out-/input copy u feeding
-    # it -> u's matched in-copy.  Vertex ids: in-copy v -> v, out-/input
-    # copy u -> n + u.
-    matched = np.flatnonzero(m.pair_left >= 0)
-    reached = reach_mask(n + len(m.pair_left),
-                         np.concatenate([right, n + matched]),
-                         np.concatenate([n + left, m.pair_left[matched]]),
-                         exposed)
-    S = np.flatnonzero(reached[:n]).tolist()
-    T = np.flatnonzero(reached[n:]).tolist()
+    # D reversed: in-copy v -> each out-/input copy feeding it -> that
+    # copy's matched in-copy
+    reached = reach_mask(2 * nk, dst, src, nk + exposed)
+    S = np.flatnonzero(reached[nk:nk + n]).tolist()
+    T = np.flatnonzero(reached[:nk]).tolist()
     return False, ("dilation", S, T)
 
 
 def _alternating_structure(g: DiGraph):
-    """Shared machinery for link/node classification.
-
-    Builds the alternating-path digraph D on bipartite copies (unmatched
-    edge u+ -> v-, matched edge v- -> u+) of one maximum matching and
-    returns the matching, which edges it holds, and three per-vertex
-    arrays:
-      comp[x]             -- SCC of x in D (alternating cycle iff equal)
-      from_free_left[x]   -- x reachable from an exposed out-copy
-      to_free_right[x]    -- x reaches an exposed in-copy
-    Vertex ids: out-copy i -> i, in-copy i -> n + i.
-    """
+    """(m, in_matching, src, dst): one maximum matching, the edges it
+    holds, and its alternating digraph D, with an arc u+ -> v- for each
+    edge u -> v outside m and v- -> u+ for each edge in m; out-copy i is
+    vertex i, in-copy i vertex n + i.  Some maximum matching exposes the
+    copies reached from an exposed out-copy (read by the link and
+    deletion classes) and those reaching an exposed in-copy (by Lin's
+    test and all three classes); an edge inside an SCC of D lies on an
+    alternating cycle (link classes)."""
     n = g.n_nodes
     m = any_maximum_matching(g)
     u, v = g.src, g.dst
     in_matching = m.pair_left[u] == v
-    src = np.where(in_matching, n + v, u)
-    dst = np.where(in_matching, u, n + v)
-    comp = component_ids(2 * n, src, dst)
-    from_free_left = reach_mask(2 * n, src, dst,
-                                np.flatnonzero(m.pair_left < 0))
-    to_free_right = reach_mask(2 * n, dst, src,
-                               n + np.flatnonzero(m.pair_right < 0))
-    return m, in_matching, comp, from_free_left, to_free_right
+    return (m, in_matching, np.where(in_matching, n + v, u),
+            np.where(in_matching, u, n + v))
 
 
 def _tagged(code, names, total):
@@ -153,15 +141,16 @@ def classify_links(g: DiGraph) -> LinkClass:
     matching plus alternating-path reachability (Berge's property); the
     tags hold for every maximum matching, so any one will do."""
     n = g.n_nodes
-    m, in_matching, comp, from_free_left, to_free_right = \
-        _alternating_structure(g)
+    m, in_matching, src, dst = _alternating_structure(g)
+    comp = component_ids(2 * n, src, dst)
+    from_free_left = reach_mask(2 * n, src, dst,
+                                np.flatnonzero(m.pair_left < 0))
+    to_free_right = reach_mask(2 * n, dst, src,
+                               n + np.flatnonzero(m.pair_right < 0))
     u, v = g.src, g.dst
     exchangeable = (comp[u] == comp[n + v]) | from_free_left[u] \
         | to_free_right[n + v]
-    left_free = m.pair_left[u] < 0
-    right_free = m.pair_right[v] < 0
-    in_some = (left_free & ~right_free) | (right_free & ~left_free) \
-        | exchangeable
+    in_some = ((m.pair_left[u] < 0) != (m.pair_right[v] < 0)) | exchangeable
     # 0 critical, 1 redundant, 2 ordinary
     code = np.where(in_matching, np.where(exchangeable, 2, 0),
                     np.where(in_some, 2, 1))
@@ -174,7 +163,9 @@ def classify_nodes(g: DiGraph) -> NodeClass:
     """Matching-role tags: a node is critical if unmatched in every
     maximum matching, redundant if matched in every, else intermittent."""
     n = g.n_nodes
-    m, _, _, _, to_free_right = _alternating_structure(g)
+    m, _, src, dst = _alternating_structure(g)
+    to_free_right = reach_mask(2 * n, dst, src,
+                               n + np.flatnonzero(m.pair_right < 0))
     # a node exposed in this matching is matched in some other one iff it
     # has an in-edge (trivial exchange with its neighbour)
     has_in = np.bincount(g.dst, minlength=n) > 0
@@ -191,22 +182,29 @@ DELETION_REDUNDANT = "deletion-redundant"
 
 
 def classify_nodes_deletion(g: DiGraph) -> NodeClass:
-    """Deletion tags: recompute the driver count on each node-deleted graph."""
-    base = driver_count(g)
-    tags = []
-    for v in range(g.n_nodes):
-        nd = driver_count(g.subgraph(np.arange(g.n_nodes) != v))
-        if nd > base:
-            tags.append(DELETION_CRITICAL)
-        elif nd < base:
-            tags.append(DELETION_REDUNDANT)
-        else:
-            tags.append(DELETION_ORDINARY)
+    """Deletion tags: whether deleting a node raises (critical), keeps
+    (ordinary) or lowers (redundant) N_D, from one maximum matching.
+
+    Deleting node i removes out-copy i+ and in-copy i-.  A copy is
+    avoidable if some maximum matching exposes it.  The matching loses no
+    edge if both copies are avoidable, one if exactly one is, and else
+    one if the out-copy b matched to i- reaches i+ in D (b = i is a
+    matched self-loop) and two if not (Dulmage-Mendelsohn)."""
     n = g.n_nodes
-    fractions = {
-        t: (tags.count(t) / n if n else 0.0)
-        for t in (DELETION_CRITICAL, DELETION_ORDINARY, DELETION_REDUNDANT)
-    }
+    m, _, src, dst = _alternating_structure(g)
+    out_avoidable = reach_mask(2 * n, src, dst,
+                               np.flatnonzero(m.pair_left < 0))[:n]
+    in_avoidable = reach_mask(2 * n, dst, src,
+                              n + np.flatnonzero(m.pair_right < 0))[n:]
+    lost = 2 - out_avoidable.astype(np.intp) - in_avoidable
+    for i in np.flatnonzero(lost == 2).tolist():
+        lost[i] -= reach_mask(2 * n, src, dst, [m.pair_right[i]])[i]
+    base = max(n - m.size, 1) if n else 0
+    # the graph left after deleting the only node is empty: N_D = 0
+    nd = np.where(n > 1, np.maximum(n - 1 - m.size + lost, 1), 0)
+    # 0 critical, 1 ordinary, 2 redundant
+    tags, fractions = _tagged(1 - np.sign(nd - base), (
+        DELETION_CRITICAL, DELETION_ORDINARY, DELETION_REDUNDANT), n)
     return NodeClass(tags, fractions)
 
 

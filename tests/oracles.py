@@ -526,3 +526,31 @@ def extended_matrix(cfg) -> np.ndarray:
     m[:n, :n] = cfg.coupling + np.diag(delta_kappa)
     m[:n, n] = -delta_kappa
     return m
+
+
+def classify_nodes_deletion_reference(g):
+    """Deletion tags: recompute the driver count on each node-deleted graph."""
+    from netctl.structural import (
+        DELETION_CRITICAL,
+        DELETION_ORDINARY,
+        DELETION_REDUNDANT,
+        NodeClass,
+        driver_count,
+    )
+
+    base = driver_count(g)
+    tags = []
+    for v in range(g.n_nodes):
+        nd = driver_count(g.subgraph(np.arange(g.n_nodes) != v))
+        if nd > base:
+            tags.append(DELETION_CRITICAL)
+        elif nd < base:
+            tags.append(DELETION_REDUNDANT)
+        else:
+            tags.append(DELETION_ORDINARY)
+    n = g.n_nodes
+    fractions = {
+        t: (tags.count(t) / n if n else 0.0)
+        for t in (DELETION_CRITICAL, DELETION_ORDINARY, DELETION_REDUNDANT)
+    }
+    return NodeClass(tags, fractions)

@@ -340,6 +340,9 @@ class TestTypedErrors:
         ["vicsek", "--n", "10", "--steps", "5",
          "--seed", "18446744073709551615", "--seeds", "2"],
         ["vicsek-leader", "--seed", "18446744073709551616"],
+        ["vicsek", "--r", "-1"],
+        ["vicsek-leader", "--r", "-0.5"],
+        ["vicsek-leader", "--eta", "-1"],
         ["ogy", "--seed", "-1"],
     ], ids=" ".join)
     def test_invalid_argument(self, files, tmp_path, capsys, argv):
@@ -648,6 +651,16 @@ class TestStructuralCommands:
         doc = run_json(capsys, ["centrality", "--input", files["star"],
                                 "--nodes", "h"])
         assert doc["control_centrality"] == 2
+
+    def test_centrality_echoes_each_node_once(self, files, capsys):
+        """The kernel controls a set, so repeated nodes are echoed once,
+        in the order of their first mention."""
+        doc = run_json(capsys, ["centrality", "--input", files["star"],
+                                "--nodes", "a,h,a,0,1"])
+        assert doc["nodes"] == ["a", "h"]
+        assert doc["control_centrality"] == run_json(capsys, [
+            "centrality", "--input", files["star"],
+            "--nodes", "a,h"])["control_centrality"]
 
     def test_actuators(self, files, capsys):
         doc = run_json(capsys, ["actuators", "--input", files["star"]])

@@ -220,13 +220,12 @@ class TestMatching:
     @given(small_digraphs)
     def test_structural_validity(self, g):
         m = maximum_matching(g)
-        edges = m.matched_edges()
-        tails = [u for u, _ in edges]
-        heads = [v for _, v in edges]
+        tails = np.flatnonzero(m.pair_left >= 0).tolist()
+        heads = m.pair_left[tails].tolist()
         assert len(set(tails)) == len(tails)
         assert len(set(heads)) == len(heads)
         for i in range(g.n_nodes):
-            assert m.matched(i) == (i in heads)
+            assert bool(m.pair_right[i] >= 0) == (i in heads)
 
 
 def seeded_small_digraphs(count, seed, max_nodes=12):
@@ -282,7 +281,8 @@ class TestMatchingAgainstReference:
             g = digraph(n, pairs)
             m = any_maximum_matching(g)
             edges = set(pairs)
-            matched = m.matched_edges()
+            tails = np.flatnonzero(m.pair_left >= 0).tolist()
+            matched = list(zip(tails, m.pair_left[tails].tolist()))
             assert all(e in edges for e in matched)
             assert all(m.pair_right[v] == u for u, v in matched)
             assert np.count_nonzero(m.pair_right >= 0) == len(matched)

@@ -96,7 +96,6 @@ class TestMinSensors:
         g = DiGraph.from_pairs(4, [])
         rep = min_sensors(g)
         assert rep.n_sensors == 4 and rep.multiplicity == 1
-        assert len(rep.pure_products) == 4
 
     def test_multiplicity_recount(self):
         rng = random.Random(7)
@@ -132,7 +131,6 @@ class TestMinSensors:
         rep = min_sensors(g)
         assert rep.root_sccs == roots
         assert rep.sensors == [r[0] for r in roots]
-        assert rep.pure_products == [r[0] for r in roots if len(r) == 1]
         assert rep.multiplicity == math.prod(len(r) for r in roots)
         assert any(len(r) > 1 for r in roots)
 

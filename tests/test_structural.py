@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netctl import structural
 from netctl.errors import EmptyDriverSet, InvariantViolation
 from netctl.generators import er_digraph
 from netctl.graphs import DiGraph, reach_mask, transpose
@@ -26,6 +27,7 @@ from netctl.structural import (
     switchboard_drivers,
 )
 from oracles import (
+    classify_nodes_deletion_reference,
     control_centrality_reference,
     generic_min_drivers,
     maximum_matchings,
@@ -287,6 +289,51 @@ class TestClassifyNodesDeletion:
         tags = classify_nodes_deletion(STAR).tags
         assert tags[2] == "deletion-redundant"
         assert tags[0] == "deletion-ordinary"
+
+    def test_matches_node_deleted_recount(self):
+        """Tags and fractions equal those of recounting N_D on each of the
+        n node-deleted graphs, self-loops and one-node graphs included."""
+        rng = random.Random(41)
+        for _ in range(600):
+            g = random_digraph(rng, rng.randint(1, 14), rng.random() ** 2)
+            got = classify_nodes_deletion(g)
+            want = classify_nodes_deletion_reference(g)
+            assert got.tags == want.tags
+            assert list(got.fractions.items()) == \
+                list(want.fractions.items())
+
+    @pytest.mark.parametrize("seed, k", [(1, 2.0), (2, 3.0), (3, 5.0)])
+    def test_er_against_networkx_matchings(self, seed, k):
+        """N_D(G - i) from networkx's Hopcroft-Karp on the bipartite split
+        of each node-deleted graph."""
+        g = er_digraph(60, k, np.random.default_rng(seed))
+        n, pairs = g.n_nodes, list(zip(g.src.tolist(), g.dst.tolist()))
+
+        def nd(removed):
+            h = nx.Graph()
+            left = [("out", u) for u in range(n) if u != removed]
+            h.add_nodes_from(left)
+            h.add_edges_from((("out", u), ("in", v)) for u, v in pairs
+                             if removed not in (u, v))
+            size = len(nx.bipartite.hopcroft_karp_matching(h, left)) // 2
+            return max(n - (removed is not None) - size, 1)
+
+        base = nd(None)
+        names = {1: "deletion-critical", 0: "deletion-ordinary",
+                 -1: "deletion-redundant"}
+        want = [names[np.sign(nd(i) - base)] for i in range(n)]
+        assert classify_nodes_deletion(g).tags == want
+        assert len(set(want)) == 3
+
+    def test_one_matching_no_subgraph(self, monkeypatch):
+        calls = []
+        real = structural.any_maximum_matching
+        monkeypatch.setattr(structural, "any_maximum_matching",
+                            lambda g: calls.append(g) or real(g))
+        monkeypatch.setattr(DiGraph, "subgraph", None)
+        classify_nodes_deletion(er_digraph(200, 4.0,
+                                           np.random.default_rng(9)))
+        assert len(calls) == 1
 
 
 class TestControlProfile:

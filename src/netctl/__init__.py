@@ -14,14 +14,12 @@ Submodules:
 
 No module imports scipy at load time: each function imports the scipy
 subpackage it calls, so a `netctl` run loads only what its kernel needs.
-Only strong components, reachability and the matchings that need not be
-canonical (`scipy.sparse.csgraph`) and Vicsek flocking at r < l/2
-(`scipy.spatial`) call scipy.  So `check`, `classify-links`,
-`classify-nodes`, `profile`, `centrality`, `actuators`, `sensors`,
-`target-sensor` and `fvs` load csgraph, and `drivers`, `switchboard` and
-`obs-transition` do not: the canonical matching, the weak components,
-the ODE solver, the bounded least squares and the matrix exponential
-are numpy.
+Only control centrality's maximum-weight matching
+(`scipy.sparse.csgraph`) and Vicsek flocking at r < l/2
+(`scipy.spatial`) call scipy, so `centrality` and `vicsek` are the only
+subcommands that load it.  The matching, the strong and weak components,
+reachability, the ODE solver, the bounded least squares and the matrix
+exponential are numpy and plain Python.
 """
 
 __version__ = "0.1.0"

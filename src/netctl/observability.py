@@ -189,7 +189,10 @@ def target_sensor(g_inf: DiGraph, targets):
         if reach[t].all() and (best is None or reach.sum() < best[1]):
             best = (v, int(reach.sum()))
     if best is None:
-        raise NoPathToTarget(f"no non-target node reaches all of {sorted(targets)}")
+        names = sorted(g_inf.labels[i] if 0 <= i < n else str(i)
+                       for i in t.tolist())
+        raise NoPathToTarget(f"no non-target node reaches all of "
+                             f"{', '.join(names)}")
     return best
 
 

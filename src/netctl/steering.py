@@ -564,17 +564,21 @@ def fvs_find(g: DiGraph, mode="heuristic") -> FvsResult:
     src, dst = g.src, g.dst
     alive = np.ones(n, dtype=bool)  # False on the nodes in the set
     alive[src[src == dst]] = False
+    s, d = src, dst
     while True:
-        keep = alive[src] & alive[dst]
-        s, d = src[keep], dst[keep]
+        keep = alive[s] & alive[d]
+        s, d = s[keep], d[keep]
         comp = component_ids(n, s, d)
         cyclic = np.flatnonzero(np.bincount(comp)[comp] > 1)
         if not cyclic.size:
             break
+        # removing nodes only splits components, so an arc between two
+        # components never lies on a cycle again
         inner = comp[s] == comp[d]
+        s, d = s[inner], d[inner]
         # traffic score: in-component out-degree times in-degree
-        score = (np.bincount(s[inner], minlength=n)
-                 * np.bincount(d[inner], minlength=n))
+        score = (np.bincount(s, minlength=n)
+                 * np.bincount(d, minlength=n))
         # each cyclic SCC gives up its highest-score node, lowest index on
         # ties: the first of its run once sorted by (component, -score, index)
         ranked = cyclic[np.lexsort((cyclic, -score[cyclic], comp[cyclic]))]

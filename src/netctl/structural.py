@@ -1,11 +1,12 @@
 """Matching-based structural controllability analyses.
 
-Driver sets come from one canonical optimum (the Hopcroft-Karp matching
-with lowest-index augmentation).  Counts, link and node classes and
-Lin's test hold for every maximum matching, so they run on scipy's C
-matching instead, and each is a search in that matching's alternating
-digraph D (`_alternating_structure`).  Optima are exponentially
-numerous and never enumerated here.
+Everything here starts from one canonical optimum, the Hopcroft-Karp
+matching with lowest-index augmentation (`graphs.maximum_matching`).
+Driver sets report it; counts, link and node classes and Lin's test hold
+for every maximum matching, and each is a search in that matching's
+alternating digraph D (`_alternating_structure`).  Optima are
+exponentially numerous and never enumerated here.  Only
+`control_centrality` loads scipy (`scipy.sparse.csgraph`'s LAPJV).
 """
 from __future__ import annotations
 
@@ -17,10 +18,10 @@ from .errors import EmptyDriverSet, InvariantViolation
 from .graphs import (
     DiGraph,
     _augment,
-    any_maximum_matching,
     component_ids,
     maximum_matching,
     reach_mask,
+    reach_pairs,
     scc_roots,
     weak_component_ids,
 )
@@ -68,10 +69,9 @@ def min_driver_set(g: DiGraph) -> DriverReport:
 
 
 def driver_count(g: DiGraph) -> int:
-    """N_D alone.  The size of a maximum matching is the same for every
-    maximum matching, so any one gives it."""
+    """N_D alone: n minus the size of a maximum matching, at least 1."""
     n = g.n_nodes
-    return max(n - any_maximum_matching(g).size, 1) if n else 0
+    return max(n - maximum_matching(g).size, 1) if n else 0
 
 
 def structural_controllability_check(g: DiGraph, drivers):
@@ -121,11 +121,24 @@ def _alternating_structure(g: DiGraph):
     test and all three classes); an edge inside an SCC of D lies on an
     alternating cycle (link classes)."""
     n = g.n_nodes
-    m = any_maximum_matching(g)
+    m = maximum_matching(g)
     u, v = g.src, g.dst
     in_matching = m.pair_left[u] == v
     return (m, in_matching, np.where(in_matching, n + v, u),
             np.where(in_matching, u, n + v))
+
+
+def _contracted(g: DiGraph, m, in_matching):
+    """(src, dst): D with each matched in-copy v- merged into its partner,
+    on the n out-copies: an arc u -> w for each edge u -> v outside m
+    whose in-copy v- is matched to w.  A path of D from one out-copy to
+    another alternates u+ -> v- -> w+, as an exposed in-copy has no
+    out-arc, so out-copies reach each other in D iff they do here.  No
+    arc is a loop: u -> v outside m with v- matched to u would be a
+    second edge u -> v."""
+    mate = m.pair_right[g.dst]
+    arc = ~in_matching & (mate >= 0)
+    return g.src[arc], mate[arc]
 
 
 def _tagged(code, names, total):
@@ -139,17 +152,28 @@ def _tagged(code, names, total):
 def classify_links(g: DiGraph) -> LinkClass:
     """Tag each link critical / redundant / ordinary from one maximum
     matching plus alternating-path reachability (Berge's property); the
-    tags hold for every maximum matching, so any one will do."""
+    tags hold for every maximum matching, so any one will do.
+
+    A link u -> v lies on an alternating cycle iff u+ and v- share an SCC
+    of D.  The SCCs come from D contracted onto the out-copies
+    (`_contracted`), half D's nodes.  The only out-arc of a matched v- is
+    v- -> w+ to its partner w, so v- shares an SCC with u+ iff it lies on
+    a cycle of D and w and u share a contracted SCC; v- lies on a cycle
+    iff the SCC of w holds more than w (arcs into w are exactly the arcs
+    into v- of D); an exposed v- lies on none."""
     n = g.n_nodes
     m, in_matching, src, dst = _alternating_structure(g)
-    comp = component_ids(2 * n, src, dst)
+    u, v = g.src, g.dst
+    comp = component_ids(n, *_contracted(g, m, in_matching))
+    mate = m.pair_right[v]
+    w = np.maximum(mate, 0)  # the partner of v-, or a stand-in if exposed
+    on_cycle = (mate >= 0) & (comp[u] == comp[w]) \
+        & (np.bincount(comp, minlength=n)[comp[w]] > 1)
     from_free_left = reach_mask(2 * n, src, dst,
                                 np.flatnonzero(m.pair_left < 0))
     to_free_right = reach_mask(2 * n, dst, src,
                                n + np.flatnonzero(m.pair_right < 0))
-    u, v = g.src, g.dst
-    exchangeable = (comp[u] == comp[n + v]) | from_free_left[u] \
-        | to_free_right[n + v]
+    exchangeable = on_cycle | from_free_left[u] | to_free_right[n + v]
     in_some = ((m.pair_left[u] < 0) != (m.pair_right[v] < 0)) | exchangeable
     # 0 critical, 1 redundant, 2 ordinary
     code = np.where(in_matching, np.where(exchangeable, 2, 0),
@@ -189,16 +213,20 @@ def classify_nodes_deletion(g: DiGraph) -> NodeClass:
     avoidable if some maximum matching exposes it.  The matching loses no
     edge if both copies are avoidable, one if exactly one is, and else
     one if the out-copy b matched to i- reaches i+ in D (b = i is a
-    matched self-loop) and two if not (Dulmage-Mendelsohn)."""
+    matched self-loop) and two if not (Dulmage-Mendelsohn).  The "does b
+    reach i+" queries are answered together, on D contracted onto the
+    out-copies (`_contracted`), where b reaches i iff b+ reaches i+ in
+    D."""
     n = g.n_nodes
-    m, _, src, dst = _alternating_structure(g)
+    m, in_matching, src, dst = _alternating_structure(g)
     out_avoidable = reach_mask(2 * n, src, dst,
                                np.flatnonzero(m.pair_left < 0))[:n]
     in_avoidable = reach_mask(2 * n, dst, src,
                               n + np.flatnonzero(m.pair_right < 0))[n:]
     lost = 2 - out_avoidable.astype(np.intp) - in_avoidable
-    for i in np.flatnonzero(lost == 2).tolist():
-        lost[i] -= reach_mask(2 * n, src, dst, [m.pair_right[i]])[i]
+    both = np.flatnonzero(lost == 2)
+    lost[both] -= reach_pairs(n, *_contracted(g, m, in_matching),
+                              m.pair_right[both], both)
     base = max(n - m.size, 1) if n else 0
     # the graph left after deleting the only node is empty: N_D = 0
     nd = np.where(n > 1, np.maximum(n - 1 - m.size + lost, 1), 0)

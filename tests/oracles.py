@@ -529,26 +529,38 @@ def extended_matrix(cfg) -> np.ndarray:
 
 
 def classify_nodes_deletion_reference(g):
-    """Deletion tags: recompute the driver count on each node-deleted graph."""
+    """Deletion tags: recount N_D on each node-deleted graph, with scipy's
+    C Hopcroft-Karp for the maximum matchings."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     from netctl.structural import (
         DELETION_CRITICAL,
         DELETION_ORDINARY,
         DELETION_REDUNDANT,
         NodeClass,
-        driver_count,
     )
 
-    base = driver_count(g)
+    def driver_count(n, src, dst):
+        if not n:
+            return 0
+        adjacency = csr_matrix((np.ones(len(src)), (src, dst)), shape=(n, n))
+        matched = maximum_bipartite_matching(adjacency, perm_type="column")
+        return max(n - int(np.count_nonzero(matched >= 0)), 1)
+
+    n = g.n_nodes
+    base = driver_count(n, g.src, g.dst)
     tags = []
-    for v in range(g.n_nodes):
-        nd = driver_count(g.subgraph(np.arange(g.n_nodes) != v))
+    for v in range(n):
+        keep = (g.src != v) & (g.dst != v)
+        src, dst = g.src[keep], g.dst[keep]
+        nd = driver_count(n - 1, src - (src > v), dst - (dst > v))
         if nd > base:
             tags.append(DELETION_CRITICAL)
         elif nd < base:
             tags.append(DELETION_REDUNDANT)
         else:
             tags.append(DELETION_ORDINARY)
-    n = g.n_nodes
     fractions = {
         t: (tags.count(t) / n if n else 0.0)
         for t in (DELETION_CRITICAL, DELETION_ORDINARY, DELETION_REDUNDANT)

@@ -150,6 +150,7 @@ def run_error(capsys, argv, error):
     assert code == 1
     assert err.startswith(f"{error}: ")
     assert err.count("\n") == 1
+    return err
 
 
 class TestTypedErrors:
@@ -281,6 +282,15 @@ class TestTypedErrors:
         # --lo = --hi = 0 forbids every step (a scipy ValueError before)
         run_error(capsys, ["compensate", "--x0=-0.5", "--target", "1",
                            "--lo", "0", "--hi", "0"], "NoCompensation")
+
+    @pytest.mark.parametrize("targets", ["x4,x7", "x9,x5"])
+    def test_no_path_to_target_names_labels(self, files, capsys, targets):
+        """The message names the targets by label, as the user gave them."""
+        err = run_error(capsys, ["target-sensor", "--reactions",
+                                 files["reactions"], "--targets", targets],
+                        "NoPathToTarget")
+        assert err == ("NoPathToTarget: no non-target node reaches all of "
+                       + ", ".join(sorted(targets.split(","))) + "\n")
 
     def test_allocation_failure(self, capsys):
         # 2·10¹⁶ time samples (142 PiB), more than any 57-bit address

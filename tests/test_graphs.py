@@ -12,12 +12,12 @@ from netctl.errors import DuplicateEdge, ParseError
 from netctl.graphs import (
     DiGraph,
     UnGraph,
-    any_maximum_matching,
     component_ids,
     directed_core,
     maximum_matching,
     parse_edge_list,
     reach_mask,
+    reach_pairs,
     scc_roots,
     transpose,
     weak_component_ids,
@@ -276,17 +276,25 @@ class TestMatchingAgainstReference:
         assert m.pair_right.tolist() == pair_r
         assert m.size == n
 
-    def test_any_maximum_matching_is_a_maximum_matching(self):
+    def test_maximum_matching_is_a_maximum_matching(self):
+        """Pairs are edges, the two sides agree, and the size is that of
+        scipy's C Hopcroft-Karp."""
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import maximum_bipartite_matching
+
         for n, pairs in seeded_small_digraphs(500, 77):
             g = digraph(n, pairs)
-            m = any_maximum_matching(g)
+            m = maximum_matching(g)
             edges = set(pairs)
             tails = np.flatnonzero(m.pair_left >= 0).tolist()
             matched = list(zip(tails, m.pair_left[tails].tolist()))
             assert all(e in edges for e in matched)
             assert all(m.pair_right[v] == u for u, v in matched)
             assert np.count_nonzero(m.pair_right >= 0) == len(matched)
-            assert m.size == maximum_matching(g).size
+            adjacency = csr_matrix((np.ones(g.n_edges), (g.src, g.dst)),
+                                   shape=(n, n))
+            assert m.size == np.count_nonzero(maximum_bipartite_matching(
+                adjacency, perm_type="column") >= 0)
 
 
 def reached(g, sources):
@@ -296,8 +304,11 @@ def reached(g, sources):
 
 def members(ids):
     """Member lists of each component id, in increasing node order."""
-    return [np.flatnonzero(ids == c).tolist()
-            for c in range(int(ids.max()) + 1 if len(ids) else 0)]
+    if not len(ids):
+        return []
+    order = np.argsort(ids, kind="stable")
+    return [part.tolist() for part in
+            np.split(order, np.cumsum(np.bincount(ids))[:-1])]
 
 
 class TestScc:
@@ -401,7 +412,6 @@ class TestAgainstNetworkx:
         want = len(nx.bipartite.hopcroft_karp_matching(
             h, top_nodes=[("out", u) for u in range(n)])) // 2
         assert maximum_matching(g).size == want
-        assert any_maximum_matching(g).size == want
 
     def test_reachable_from_several_sources(self, n, k, seed):
         g = er_digraph(n, k, np.random.default_rng(seed))
@@ -494,6 +504,85 @@ class TestWeakComponents:
         want = sorted(sorted(c) for c in nx.weakly_connected_components(h))
         assert len(want) == len(parts)
         assert members(weak_component_ids(n, src, dst)) == want
+
+
+def two_cycle_chain(count, increasing):
+    """`count` 2-cycles {2j, 2j + 1}, each with an arc into the next one
+    along the chain; the chain runs up the indices or down them."""
+    j = np.arange(count - 1)
+    if increasing:
+        tails, heads = 2 * j + 1, 2 * j + 2
+    else:
+        tails, heads = 2 * j + 2, 2 * j + 1
+    pairs = 2 * np.arange(count)
+    return (2 * count, np.concatenate([pairs, pairs + 1, tails]),
+            np.concatenate([pairs + 1, pairs, heads]))
+
+
+def self_loops_and_arcs():
+    """Self-loops on nodes in and out of a 3-cycle, and a loop alone."""
+    src = np.array([0, 0, 1, 2, 3, 3, 5])
+    dst = np.array([0, 1, 2, 0, 3, 4, 5])
+    return 6, src, dst
+
+
+NONE = np.zeros(0, dtype=np.intp)
+
+
+@pytest.mark.parametrize("n, src, dst", [
+    (100_000, *shuffled_path(100_000, 11)),
+    two_cycle_chain(10_000, increasing=False),
+    two_cycle_chain(10_000, increasing=True),
+    self_loops_and_arcs(),
+    (0, NONE, NONE),
+    (1, NONE, NONE),
+    (1, np.zeros(1, dtype=np.intp), np.zeros(1, dtype=np.intp)),
+], ids=["path-1e5", "2-cycles-down", "2-cycles-up", "self-loops", "n0",
+        "n1", "n1-loop"])
+class TestDeepAgainstNetworkx:
+    """Strong components and reachability on shapes whose searches run
+    10^5 deep, where a recursive search would overflow the stack."""
+
+    def test_component_ids(self, n, src, dst):
+        h = nx.DiGraph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(zip(src.tolist(), dst.tolist()))
+        want = sorted(sorted(c) for c in nx.strongly_connected_components(h))
+        assert members(component_ids(n, src, dst)) == want
+
+    def test_reach_mask(self, n, src, dst):
+        h = nx.DiGraph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from(zip(src.tolist(), dst.tolist()))
+        roots = np.setdiff1d(np.arange(n), dst).tolist()  # no arc enters
+        for sources in ([0], [n // 2], [0, n - 1], roots):
+            sources = [s for s in sources if 0 <= s < n]
+            want = set(sources).union(*(nx.descendants(h, s)
+                                        for s in sources))
+            assert np.flatnonzero(reach_mask(n, src, dst, sources)
+                                  ).tolist() == sorted(want)
+
+
+class TestReachPairs:
+    @pytest.mark.parametrize("chunk", [1, 5, 2048])
+    def test_against_networkx(self, monkeypatch, chunk):
+        monkeypatch.setattr(graphs, "_PAIR_CHUNK", chunk)
+        rng = random.Random(13)
+        for n, pairs in seeded_small_digraphs(200, 13):
+            g = digraph(n, pairs)
+            h = nx_digraph(g)
+            starts = [rng.randrange(n) for _ in range(rng.randint(0, 12))]
+            ends = [rng.randrange(n) for _ in starts]
+            want = [nx.has_path(h, s, t) for s, t in zip(starts, ends)]
+            assert reach_pairs(n, g.src, g.dst, starts,
+                               ends).tolist() == want
+
+    def test_deep_chain(self):
+        n, src, dst = two_cycle_chain(10_000, increasing=True)
+        starts = [0, 1, 5000, n - 1, n - 2]
+        ends = [n - 1, 0, 4000, n - 2, 0]
+        assert reach_pairs(n, src, dst, starts, ends).tolist() == [
+            True, True, False, True, False]
 
 
 class TestCyclePartition:

@@ -56,21 +56,21 @@ CSGRAPH = {"sparse", "linalg"}
 # its run may load
 FOOTPRINT = [
     (["drivers", "--input", "{di}"], set()),
-    (["check", "--input", "{di}", "--drivers", "a"], CSGRAPH),
-    (["classify-links", "--input", "{di}"], CSGRAPH),
-    (["classify-nodes", "--input", "{di}"], CSGRAPH),
-    (["classify-nodes", "--input", "{di}", "--deletion"], CSGRAPH),
-    (["profile", "--input", "{di}"], CSGRAPH),
+    (["check", "--input", "{di}", "--drivers", "a"], set()),
+    (["classify-links", "--input", "{di}"], set()),
+    (["classify-nodes", "--input", "{di}"], set()),
+    (["classify-nodes", "--input", "{di}", "--deletion"], set()),
+    (["profile", "--input", "{di}"], set()),
     (["centrality", "--input", "{di}", "--nodes", "a"], CSGRAPH),
-    (["actuators", "--input", "{di}"], CSGRAPH),
+    (["actuators", "--input", "{di}"], set()),
     (["switchboard", "--input", "{di}"], set()),
     (["cavity", "--dist", "sf-static", "--kmean", "4"], set()),
     (["exact-nd", "--a", "{a}"], set()),
     (["energy", "--a", "{a}", "--b", "{b}", "--t", "2"], set()),
     (["spectrum", "--a", "{a}", "--b", "{b}", "--t", "2"], set()),
-    (["sensors", "--reactions", "{reactions}"], CSGRAPH),
+    (["sensors", "--reactions", "{reactions}"], set()),
     (["target-sensor", "--reactions", "{reactions}", "--targets", "x1"],
-     CSGRAPH),
+     set()),
     (["mds", "--input", "{un}"], set()),
     (["obs-transition", "--input", "{un}", "--phi", "0.5", "--trials", "2"],
      set()),
@@ -82,7 +82,7 @@ FOOTPRINT = [
     (["compensate", "--x0=-0.5", "--target", "1"], set()),
     (["compensate", "--x0=-0.5", "--target", "1", "--lo", "0", "--hi", "3"],
      set()),
-    (["fvs", "--input", "{di}"], CSGRAPH),
+    (["fvs", "--input", "{di}"], set()),
     (["clamp", "--t", "1"], set()),
     (["msf", "--input", "{un}"], set()),
     (["pinning", "--input", "{un}"], set()),

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netctl import structural
+from netctl import graphs, structural
 from netctl.errors import EmptyDriverSet, InvariantViolation
 from netctl.generators import er_digraph
-from netctl.graphs import DiGraph, reach_mask, transpose
+from netctl.graphs import DiGraph, component_ids, reach_mask, transpose
 from netctl.structural import (
     CRITICAL,
     INTERMITTENT,
@@ -254,6 +254,44 @@ class TestClassifyLinks:
                     assert size == base
 
 
+def full_d_link_tags(g):
+    """Link tags with the SCCs taken on the whole alternating digraph D:
+    a link u -> v lies on an alternating cycle iff u+ and v- share one."""
+    n = g.n_nodes
+    m, in_matching, src, dst = structural._alternating_structure(g)
+    comp = component_ids(2 * n, src, dst)
+    from_free_left = reach_mask(2 * n, src, dst,
+                                np.flatnonzero(m.pair_left < 0))
+    to_free_right = reach_mask(2 * n, dst, src,
+                               n + np.flatnonzero(m.pair_right < 0))
+    u, v = g.src, g.dst
+    exchangeable = (comp[u] == comp[n + v]) | from_free_left[u] \
+        | to_free_right[n + v]
+    in_some = ((m.pair_left[u] < 0) != (m.pair_right[v] < 0)) | exchangeable
+    return [(ORDINARY if x else CRITICAL) if matched else
+            (ORDINARY if s else REDUNDANT)
+            for matched, x, s in zip(in_matching.tolist(),
+                                     exchangeable.tolist(), in_some.tolist())]
+
+
+class TestContractedLinkSccs:
+    """`classify_links` reads the SCCs of D contracted onto the
+    out-copies; the tags equal those from the SCCs of D itself."""
+
+    def test_small_digraphs(self):
+        rng = random.Random(61)
+        for _ in range(600):
+            g = random_digraph(rng, rng.randint(1, 14), rng.random() ** 2)
+            assert classify_links(g).tags == full_d_link_tags(g)
+
+    @pytest.mark.parametrize("n, k", [(2000, 2.0), (2000, 4.0), (5000, 8.0)])
+    def test_er_digraphs(self, n, k):
+        g = er_digraph(n, k, np.random.default_rng(int(k)))
+        tags = classify_links(g).tags
+        assert tags == full_d_link_tags(g)
+        assert len(set(tags)) == 3
+
+
 class TestClassifyNodes:
     def test_star(self):
         assert classify_nodes(STAR).tags == [
@@ -325,10 +363,42 @@ class TestClassifyNodesDeletion:
         assert classify_nodes_deletion(g).tags == want
         assert len(set(want)) == 3
 
+    @pytest.mark.parametrize("k", [2.0, 4.0, 8.0])
+    def test_er_batched_queries(self, k):
+        """All "does b reach i+" queries in one condensation sweep."""
+        g = er_digraph(2000, k, np.random.default_rng(1))
+        got = classify_nodes_deletion(g)
+        want = classify_nodes_deletion_reference(g)
+        assert got.tags == want.tags
+        assert got.fractions == want.fractions
+
+    def test_queries_across_chunk_boundaries(self, monkeypatch):
+        """Sweeps of 64 queries, the last one partial.  On ER digraphs
+        almost every answer is "no"; self-loops on half the nodes make
+        about a quarter of them "yes" (a matched loop answers its own
+        query)."""
+        g = er_digraph(2000, 4.0, np.random.default_rng(1))
+        loops = np.flatnonzero(np.random.default_rng(2).random(2000) < 0.5)
+        loops = np.setdiff1d(loops, g.src[g.src == g.dst])
+        g = DiGraph.from_arrays(2000, np.concatenate([g.src, loops]),
+                                np.concatenate([g.dst, loops]))
+        calls = []
+        real = structural.reach_pairs
+        monkeypatch.setattr(structural, "reach_pairs", lambda *a: calls.append(
+            (a, real(*a))) or calls[-1][1])
+        monkeypatch.setattr(graphs, "_PAIR_CHUNK", 64)
+        classify_nodes_deletion(g)
+        (n, src, dst, starts, ends), answers = calls[0]
+        assert len(starts) > 3 * 64 and len(starts) % 64
+        assert answers.sum() > len(starts) // 5
+        assert answers.tolist() == [
+            bool(reach_mask(n, src, dst, [b])[i])
+            for b, i in zip(starts.tolist(), ends.tolist())]
+
     def test_one_matching_no_subgraph(self, monkeypatch):
         calls = []
-        real = structural.any_maximum_matching
-        monkeypatch.setattr(structural, "any_maximum_matching",
+        real = structural.maximum_matching
+        monkeypatch.setattr(structural, "maximum_matching",
                             lambda g: calls.append(g) or real(g))
         monkeypatch.setattr(DiGraph, "subgraph", None)
         classify_nodes_deletion(er_digraph(200, 4.0,

@@ -106,8 +106,8 @@ def solve_cavity(dist_in, dist_out, z: float, max_iter: int = 100_000):
     distributions and mean total degree z, via fixed-point iteration of the
     self-consistency equations, each sweep moving halfway to the update.
 
-    Returns (n_d, CavityState).  Raises NonConvergence if the residual
-    stays at or above 1e-10 after max_iter sweeps.
+    Returns (n_d, CavityState).  Raises NonConvergence if the residual,
+    times max(1, z/2), stays at or above 1e-10 after max_iter sweeps.
     """
     if z <= 0:
         raise InvalidArgument("mean degree must be positive")
@@ -131,7 +131,8 @@ def solve_cavity(dist_in, dist_out, z: float, max_iter: int = 100_000):
         w2 = 0.5 * w2 + 0.5 * n2
         w1h = 0.5 * w1h + 0.5 * n1h
         w2h = 0.5 * w2h + 0.5 * n2h
-        if residual < 1e-10:
+        # n_d below weighs the w's by z/2, and so their error
+        if residual * max(1.0, z / 2.0) < 1e-10:
             break
     else:
         raise NonConvergence(residual, max_iter)
@@ -140,6 +141,8 @@ def solve_cavity(dist_in, dist_out, z: float, max_iter: int = 100_000):
         + (g_hat(w2) + g_hat(1.0 - w1) - 1.0)
         + (z / 2.0) * (w1h * (1.0 - w2) + w1 * (1.0 - w2h))
     )
+    if not -1e-9 <= n_d <= 1.0 + 1e-9:
+        raise InvariantViolation(f"driver fraction {n_d!r} outside [0, 1]")
     state = CavityState(w1, w2, 1.0 - w1 - w2, w1h, w2h, 1.0 - w1h - w2h)
     return n_d, state
 

@@ -180,22 +180,26 @@ def _neighbor_lists(pos, r, l):
     return np.column_stack([i, j])
 
 
+def _neighbour_sums(pairs, values):
+    """Each agent's value plus its neighbours' under the (i, j) pairs, by
+    one weighted bincount that adds them in the order that a scatter-add
+    over the pairs, i's then j's, would."""
+    n = len(values)
+    i, j = pairs[:, 0], pairs[:, 1]
+    return np.bincount(np.concatenate([np.arange(n), i, j]),
+                       np.concatenate([values, values[j], values[i]]),
+                       minlength=n)
+
+
 def vicsek_step(state: VicsekState) -> VicsekState:
     """One synchronous update: headings move to the full-quadrant mean of
     the neighborhood (self included) plus bounded noise, then positions
     advance with the new headings and wrap periodically."""
-    n = state.n_agents
-    sin_sum = np.sin(state.theta).copy()
-    cos_sum = np.cos(state.theta).copy()
     pairs = _neighbor_lists(state.pos, state.r, state.l)
-    if len(pairs):
-        i, j = pairs[:, 0], pairs[:, 1]
-        np.add.at(sin_sum, i, np.sin(state.theta[j]))
-        np.add.at(sin_sum, j, np.sin(state.theta[i]))
-        np.add.at(cos_sum, i, np.cos(state.theta[j]))
-        np.add.at(cos_sum, j, np.cos(state.theta[i]))
+    sin_sum = _neighbour_sums(pairs, np.sin(state.theta))
+    cos_sum = _neighbour_sums(pairs, np.cos(state.theta))
     rng = _step_rng(state.seed, state.step + 1)
-    noise = rng.uniform(-state.eta / 2.0, state.eta / 2.0, n)
+    noise = rng.uniform(-state.eta / 2.0, state.eta / 2.0, state.n_agents)
     theta = _wrap_angle(np.arctan2(sin_sum, cos_sum) + noise)
     vel = state.v0 * np.column_stack([np.cos(theta), np.sin(theta)])
     pos = np.mod(state.pos + vel, state.l)
@@ -260,31 +264,19 @@ def vicsek_leader_run(n, l, v0, r, theta0, steps, seed=0, eta=0.0):
         raise InvalidArgument("noise amplitude must not be negative")
     rng = _step_rng(seed, 0)
     pos = rng.uniform(0.0, l, (n, 2))
-    theta = rng.uniform(-np.pi, np.pi, n)
-    leader_pos = rng.uniform(0.0, l, 2)
-    leader_vel = v0 * np.array([np.cos(theta0), np.sin(theta0)])
+    # the leader is agent n, held at θ₀ and found by the same pair search
+    theta = np.append(rng.uniform(-np.pi, np.pi, n), theta0)
+    pos = np.vstack([pos, rng.uniform(0.0, l, 2)])
+    ones = np.ones(n + 1)
     deviation = np.empty(steps + 1)
-    deviation[0] = np.abs(theta - theta0).max()
+    deviation[0] = np.abs(theta[:n] - theta0).max()
     for step in range(1, steps + 1):
         pairs = _neighbor_lists(pos, r, l)
-        theta_sum = theta.copy()
-        count = np.ones(n)
-        if len(pairs):
-            i, j = pairs[:, 0], pairs[:, 1]
-            np.add.at(theta_sum, i, theta[j])
-            np.add.at(theta_sum, j, theta[i])
-            np.add.at(count, i, 1.0)
-            np.add.at(count, j, 1.0)
-        diff = np.mod(pos - leader_pos, l)
-        diff = np.minimum(diff, l - diff)
-        near_leader = (diff ** 2).sum(axis=1) <= r * r
-        theta_sum[near_leader] += theta0
-        count[near_leader] += 1.0
+        mean = _neighbour_sums(pairs, theta) / _neighbour_sums(pairs, ones)
         noise = _step_rng(seed, step).uniform(-eta / 2.0, eta / 2.0, n) \
             if eta > 0 else 0.0
-        theta = theta_sum / count + noise
+        theta[:n] = mean[:n] + noise
         vel = v0 * np.column_stack([np.cos(theta), np.sin(theta)])
         pos = np.mod(pos + vel, l)
-        leader_pos = np.mod(leader_pos + leader_vel, l)
-        deviation[step] = np.abs(theta - theta0).max()
+        deviation[step] = np.abs(theta[:n] - theta0).max()
     return deviation

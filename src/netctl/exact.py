@@ -112,6 +112,9 @@ def _cluster_eigenvalues(eig, tol):
     Returns (centroids, sizes) in (real, imag) order of the centroids; a
     centroid is the mean of its members taken in index order.
     """
+    # imported here so that `energy` and `spectrum` do not load graphs.py
+    from .graphs import weak_component_ids
+
     eig = np.asarray(eig)
     n = len(eig)
     # |λi - λj| < tol implies |Re λi - Re λj| < tol, so only pairs inside a
@@ -125,25 +128,12 @@ def _cluster_eigenvalues(eig, tol):
         - np.repeat(np.cumsum(width) - width, width)
     first, second = by_re[first], by_re[second]
     close = np.abs(eig[first] - eig[second]) < tol
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in zip(first[close].tolist(), second[close].tolist()):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    clusters = [eig[idx].mean() for idx in groups.values()]
-    counts = [len(idx) for idx in groups.values()]
+    label = weak_component_ids(n, first[close], second[close])
+    counts = np.bincount(label)
+    groups = np.split(np.argsort(label, kind="stable"), np.cumsum(counts)[:-1])
+    clusters = [eig[idx].mean() for idx in groups]
     order = np.lexsort((np.array(clusters).imag, np.array(clusters).real))
-    return [clusters[i] for i in order], [counts[i] for i in order]
+    return [clusters[i] for i in order], counts[order].tolist()
 
 
 def _shifted(a, lam):

@@ -196,26 +196,11 @@ def henon_lyapunov(p, b, n_iter=30000, n_skip=500, x0=(0.1, 0.1)):
     return total / counted
 
 
-def pbh_min_drivers_reference(a):
-    """Exact N_D, the maximising eigenvalue and its row-order driver set by
-    brute force: every eigenvalue cluster gets a full rank test, and a row
-    of A - λI is a driver when appending it to the independent rows
-    before it does not raise the numeric rank (one SVD per row).
-
-    Clusters are single-linkage groups of eigenvalues closer than
-    tol = 1e-8 max(1, ||A||_2), compared pairwise; ties in geometric
-    multiplicity go to the first cluster in (real, imag) order.  Returns
-    (n_d, lam, drivers); the driver count may differ from n_d where the
-    rank test and the row rule disagree numerically.
-    """
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    tol = 1e-8 * max(1.0, np.linalg.norm(a, 2))
-
-    def rank(m):
-        return int((np.linalg.svd(m, compute_uv=False) > tol).sum())
-
-    eig = np.linalg.eigvals(a)
+def cluster_reference(eig, tol):
+    """Single-linkage clusters of eigenvalues closer than tol, compared
+    pairwise.  Returns (centroids, sizes) in (real, imag) order of the
+    centroids; a centroid is the mean of its members in index order."""
+    n = len(eig)
     label = list(range(n))
     for i in range(n):
         for j in range(i + 1, n):
@@ -226,8 +211,30 @@ def pbh_min_drivers_reference(a):
     for i in range(n):
         groups.setdefault(label[i], []).append(i)
     centers = [np.mean([eig[i] for i in idx]) for idx in groups.values()]
-    centers = [centers[k] for k in np.lexsort((np.imag(centers),
-                                               np.real(centers)))]
+    sizes = [len(idx) for idx in groups.values()]
+    order = np.lexsort((np.imag(centers), np.real(centers)))
+    return [centers[k] for k in order], [sizes[k] for k in order]
+
+
+def pbh_min_drivers_reference(a):
+    """Exact N_D, the maximising eigenvalue and its row-order driver set by
+    brute force: every eigenvalue cluster gets a full rank test, and a row
+    of A - λI is a driver when appending it to the independent rows
+    before it does not raise the numeric rank (one SVD per row).
+
+    Clusters are `cluster_reference`'s at tol = 1e-8 max(1, ||A||_2);
+    ties in geometric multiplicity go to the first cluster in (real, imag)
+    order.  Returns (n_d, lam, drivers); the driver count may differ from
+    n_d where the rank test and the row rule disagree numerically.
+    """
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    tol = 1e-8 * max(1.0, np.linalg.norm(a, 2))
+
+    def rank(m):
+        return int((np.linalg.svd(m, compute_uv=False) > tol).sum())
+
+    centers, _ = cluster_reference(np.linalg.eigvals(a), tol)
     geo = [n - rank(lam * np.eye(n) - a) for lam in centers]
     best = int(np.argmax(geo))
     lam = centers[best]
@@ -566,3 +573,52 @@ def classify_nodes_deletion_reference(g):
         for t in (DELETION_CRITICAL, DELETION_ORDINARY, DELETION_REDUNDANT)
     }
     return NodeClass(tags, fractions)
+
+
+def neighbour_sums_reference(pairs, values):
+    """Each agent's value plus its neighbours' under the (i, j) pairs, by
+    one scatter-add per direction."""
+    total = np.array(values, dtype=float)
+    if len(pairs):
+        i, j = pairs[:, 0], pairs[:, 1]
+        np.add.at(total, i, values[j])
+        np.add.at(total, j, values[i])
+    return total
+
+
+def vicsek_leader_reference(n, l, v0, r, theta0, steps, seed=0, eta=0.0):
+    """Leader-following consensus flock with the leader kept apart: the
+    followers' pairs by an all-pairs minimum-image search, the followers
+    near the leader by a separate distance test.  Returns the trace of
+    max_i |θ_i − θ₀|; draws from the same (seed, step) streams."""
+    def rng(step):
+        return np.random.default_rng([np.uint64(seed), np.uint64(step)])
+
+    def min_image_sq(d):
+        d = np.mod(d, l)
+        d = np.minimum(d, l - d)
+        return (d ** 2).sum(axis=-1)
+
+    first = rng(0)
+    pos = first.uniform(0.0, l, (n, 2))
+    theta = first.uniform(-np.pi, np.pi, n)
+    leader_pos = first.uniform(0.0, l, 2)
+    leader_vel = v0 * np.array([np.cos(theta0), np.sin(theta0)])
+    deviation = np.empty(steps + 1)
+    deviation[0] = np.abs(theta - theta0).max()
+    for step in range(1, steps + 1):
+        close = min_image_sq(pos[:, None, :] - pos[None, :, :]) <= r * r
+        pairs = np.column_stack(np.nonzero(np.triu(close, k=1)))
+        theta_sum = neighbour_sums_reference(pairs, theta)
+        count = neighbour_sums_reference(pairs, np.ones(n))
+        near_leader = min_image_sq(pos - leader_pos) <= r * r
+        theta_sum[near_leader] += theta0
+        count[near_leader] += 1.0
+        noise = rng(step).uniform(-eta / 2.0, eta / 2.0, n) if eta > 0 \
+            else 0.0
+        theta = theta_sum / count + noise
+        vel = v0 * np.column_stack([np.cos(theta), np.sin(theta)])
+        pos = np.mod(pos + vel, l)
+        leader_pos = np.mod(leader_pos + leader_vel, l)
+        deviation[step] = np.abs(theta - theta0).max()
+    return deviation

@@ -101,6 +101,24 @@ class TestSolveCavity:
         assert info.value.residual > 1e-10
         assert "after 3 iterations" in str(info.value)
 
+    @pytest.mark.parametrize("k_mean", [100.0, 1e3, 1e4, 1e100, 1e308])
+    @pytest.mark.parametrize("gamma", [None, 3.0])
+    def test_dense_driver_fraction_in_unit_interval(self, k_mean, gamma):
+        # n_d weighs the fixed point's error by z/2, so the stopping rule
+        # scales with it; an unscaled stop gave -1.9e-14 at <k> = 1e3 and
+        # 6.35e286 at 1e308
+        nd, _ = solve_cavity_er(k_mean) if gamma is None \
+            else solve_cavity_sf(k_mean, gamma)
+        assert 0.0 <= nd <= 1.0
+
+    def test_driver_fraction_outside_unit_interval_raises(self):
+        class Broken(PoissonDist):
+            def g(self, x):
+                return 2.0
+
+        with pytest.raises(InvariantViolation, match=r"outside \[0, 1\]"):
+            solve_cavity(Broken(2.0), Broken(2.0), 4.0)
+
     def test_rejects_nonpositive_degree(self):
         with pytest.raises(ValueError):
             solve_cavity_er(0.0)

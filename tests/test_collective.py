@@ -3,6 +3,7 @@ import pytest
 
 from netctl.collective import (
     PinningConfig,
+    _neighbour_sums,
     laplacian_matrix,
     msf_eigenratio,
     order_parameter,
@@ -17,7 +18,11 @@ from netctl.errors import DisconnectedGraph, InvalidArgument, NoPinnedNodes
 from netctl.generators import ba_graph
 from netctl.graphs import UnGraph
 from netctl.steering import OdeSystem, make_system
-from oracles import extended_matrix
+from oracles import (
+    extended_matrix,
+    neighbour_sums_reference,
+    vicsek_leader_reference,
+)
 
 
 def ring(n):
@@ -211,6 +216,26 @@ class TestVicsekStep:
         assert (state.theta <= np.pi + 1e-12).all()
 
 
+class TestNeighbourSums:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_against_scatter_add(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 200))
+        i, j = np.nonzero(np.triu(rng.random((n, n)) < rng.uniform(0, 0.3),
+                                  k=1))
+        pairs = rng.permutation(np.column_stack([i, j]))
+        values = rng.normal(size=n)
+        # the same additions in the same order: equal bit for bit
+        assert np.array_equal(_neighbour_sums(pairs, values),
+                              neighbour_sums_reference(pairs, values))
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_no_pairs(self, n):
+        values = np.random.default_rng(n).normal(size=n)
+        pairs = np.empty((0, 2), dtype=np.intp)
+        assert np.array_equal(_neighbour_sums(pairs, values), values)
+
+
 class TestVicsekOrder:
     def test_phi_in_unit_interval(self):
         res = vicsek_order_parameter(60, 5.0, 0.03, 1.0, 2.0, 100, seed=11)
@@ -249,3 +274,15 @@ class TestLeader:
         dev = vicsek_leader_run(10, 1.0, 0.03, 0.0, theta0=0.7, steps=50,
                                 seed=14)
         assert dev[-1] == dev[0]
+
+    @pytest.mark.parametrize("args", [
+        (30, 1.0, 0.03, 0.5, 0.7, 500, 3, 0.0),  # criterion 16's run
+        (100, 5.0, 0.03, 1.0, 0.7, 300, 4, 0.0),  # r < l/2: the k-d tree
+        (40, 2.0, 0.05, 0.6, -1.2, 300, 5, 0.4),  # with noise
+        (10, 1.0, 0.03, 0.0, 0.7, 50, 14, 0.0),  # r = 0
+    ])
+    def test_against_separate_leader(self, args):
+        *head, seed, eta = args
+        dev = vicsek_leader_run(*head, seed=seed, eta=eta)
+        want = vicsek_leader_reference(*head, seed=seed, eta=eta)
+        assert np.abs(dev - want).max() <= 1e-12

@@ -11,6 +11,7 @@ from netctl.errors import (
 )
 from netctl.exact import (
     DenseSystem,
+    _cluster_eigenvalues,
     _expm,
     chain_matrix,
     complete_matrix,
@@ -21,8 +22,8 @@ from netctl.exact import (
 )
 from netctl.generators import er_digraph
 from netctl.graphs import DiGraph
-from netctl.structural import min_driver_set
-from oracles import pbh_min_drivers_reference
+from netctl.structural import driver_count, min_driver_set
+from oracles import cluster_reference, pbh_min_drivers_reference
 
 
 def random_weighted(rng, n, density=0.3):
@@ -126,6 +127,26 @@ class TestPbhMinDrivers:
                     a[d, s] = nprng.uniform(0.5, 2.0) * nprng.choice([-1, 1])
                 votes.append(pbh_min_drivers(a)[0])
             assert max(nd_struct, 1) == max(set(votes), key=votes.count)
+
+    def test_never_below_the_structural_bound(self):
+        # a controllable (A, B) is structurally controllable on A's pattern,
+        # diagonal entries counted as self-loops (Lin 1974), so N_D is at
+        # least max(1, n - |M|) for a maximum matching M of that pattern
+        rng = np.random.default_rng(12)
+        equal = 0
+        for i in range(600):
+            n = int(rng.integers(2, 30))
+            mask = rng.random((n, n)) < rng.uniform(0.05, 0.4)
+            weights = (rng.normal(size=(n, n)), np.ones((n, n)),
+                       rng.integers(-3, 4, size=(n, n)))[i % 3]
+            a = mask * weights.astype(float)
+            rows, cols = np.nonzero(a)
+            bound = driver_count(DiGraph.from_pairs(
+                n, list(zip(cols.tolist(), rows.tolist()))))
+            n_d = pbh_min_drivers(a)[0]
+            assert n_d >= bound
+            equal += n_d == bound
+        assert equal > 550  # the two counts agree for almost all weights
 
 
 def random_matrix(rng, kind):
@@ -303,6 +324,40 @@ class TestPbhAgainstReference:
             pbh_min_drivers(np.array([[1.0, np.nan], [0.0, 1.0]]))
         with pytest.raises(NonFiniteInput):
             DenseSystem(np.eye(2), np.array([np.inf, 0.0]))
+
+
+def eigenvalue_spectrum(rng, tol):
+    """1-59 eigenvalues: real and complex, conjugate pairs, exact repeats,
+    and chains of copies spaced well inside or just outside tol."""
+    n = int(rng.integers(1, 60))
+    eig = rng.normal(size=n) + 1j * rng.normal(size=n) * (rng.random(n) < 0.5)
+    k = int(rng.integers(0, n // 2 + 1))
+    eig[n - k:] = eig[:k].conj()
+    repeat = rng.random(n) < 0.2
+    eig[repeat] = eig[rng.integers(0, n, repeat.sum())]
+    for _ in range(int(rng.integers(0, 4))):
+        start, length = int(rng.integers(0, n)), int(rng.integers(1, 8))
+        # a spacing of exactly tol is left out: there the scalar and the
+        # vectorised |λi - λj| can round to opposite sides of tol
+        step = tol * rng.choice([0.3, 0.7, 0.999, 1.001]) \
+            * np.exp(2j * np.pi * rng.random())
+        eig[(start + np.arange(length)) % n] = eig[start] \
+            + step * np.arange(length)
+    return rng.permutation(eig)
+
+
+def test_cluster_eigenvalues_against_pairwise_linkage():
+    rng = np.random.default_rng(5)
+    merged = 0
+    for _ in range(1000):
+        tol = 10.0 ** rng.uniform(-9, -3)
+        eig = eigenvalue_spectrum(rng, tol)
+        centers, sizes = _cluster_eigenvalues(eig, tol)
+        want_centers, want_sizes = cluster_reference(eig, tol)
+        assert sizes == want_sizes
+        assert np.array_equal(centers, want_centers)  # bit for bit
+        merged += max(sizes) > 1
+    assert merged > 900
 
 
 class TestSelfLoopSweep:

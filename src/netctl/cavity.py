@@ -26,9 +26,6 @@ class PoissonDist:
             raise InvalidArgument("mean must be nonnegative")
         self.mean = float(mean)
 
-    def pmf(self, k: int) -> float:
-        return math.exp(-self.mean) * self.mean**k / math.factorial(k)
-
     def g(self, x: float) -> float:
         return math.exp(self.mean * (x - 1.0))
 
@@ -66,7 +63,10 @@ class SFStaticDist:
         # underflows, but their product wt*p*mean*(1-a) stays finite.
         log_t = np.log(t)
         self._log_lam = math.log(mean * (1.0 - a)) - a * p * log_t
-        self._log_w = np.log(wt * p) + (p - 1.0) * log_t
+        log_w = np.log(wt * p) + (p - 1.0) * log_t
+        # normalised so that g(1) = 1 to rounding: n_d -> g(1) - 1 at dense <k>
+        top = log_w.max()
+        self._log_w = log_w - (top + math.log(np.exp(log_w - top).sum()))
         self._log_wl = np.log(wt * p) + math.log(mean * (1.0 - a))
         # clamped rate: huge-but-finite so lam*(x-1) is -inf-like for any
         # x < 1 yet exactly 0 at x = 1
@@ -76,11 +76,6 @@ class SFStaticDist:
         if not abs(quad_mean - mean) < 1e-8 * mean:
             raise InvariantViolation(
                 f"quadrature mean {quad_mean!r} differs from <k> = {mean!r}")
-
-    def pmf(self, k: int) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):
-            e = self._log_w + k * self._log_lam - self._lam - math.lgamma(k + 1)
-        return float(np.exp(e).sum())
 
     def g(self, x: float) -> float:
         # clip: quadrature roundoff can overshoot the exact range by a few ulp
@@ -106,8 +101,9 @@ def solve_cavity(dist_in, dist_out, z: float, max_iter: int = 100_000):
     distributions and mean total degree z, via fixed-point iteration of the
     self-consistency equations, each sweep moving halfway to the update.
 
-    Returns (n_d, CavityState).  Raises NonConvergence if the residual,
-    times max(1, z/2), stays at or above 1e-10 after max_iter sweeps.
+    Returns (n_d, CavityState), n_d clipped into [0, 1].  Raises
+    NonConvergence if the residual, times max(1, z/2), stays at or above
+    1e-10 after max_iter sweeps.
     """
     if z <= 0:
         raise InvalidArgument("mean degree must be positive")
@@ -143,6 +139,7 @@ def solve_cavity(dist_in, dist_out, z: float, max_iter: int = 100_000):
     )
     if not -1e-9 <= n_d <= 1.0 + 1e-9:
         raise InvariantViolation(f"driver fraction {n_d!r} outside [0, 1]")
+    n_d = min(max(n_d, 0.0), 1.0)  # rounding inside the slack above
     state = CavityState(w1, w2, 1.0 - w1 - w2, w1h, w2h, 1.0 - w1h - w2h)
     return n_d, state
 

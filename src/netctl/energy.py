@@ -2,13 +2,11 @@
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (IllConditionedWarning, InvalidArgument, NonFiniteInput,
-                     SingularGramian)
+from .errors import InvalidArgument, NonFiniteInput, SingularGramian
 from .exact import DenseSystem, _expm
 
 _SINGULAR_ETA = 1e-12
@@ -75,13 +73,6 @@ def gramian(sys: DenseSystem, t_final: float) -> GramianResult:
     eta = np.linalg.eigvalsh(h) if np.isfinite(h).all() \
         else np.full(n, np.nan)
     w_eig = np.linalg.eigvalsh(w)
-    # W is symmetric, so cond₂(W) = λ_max / λ_min; infinite once λ_min ≤ 0
-    cond = w_eig[-1] / w_eig[0] if w_eig[0] > 0 else math.inf
-    if cond > 1e12:
-        warnings.warn(
-            f"Gramian condition number {cond:.3e} exceeds 1e12",
-            IllConditionedWarning,
-        )
     return GramianResult(w, h, eta, w_eig[0],
                          w_eig[0] < _SINGULAR_ETA * max(1.0, w_eig[-1]))
 
@@ -108,9 +99,7 @@ def min_energy_input(
         raise NonFiniteInput("x_i and x_f must be finite")
     if n_steps < 1:
         raise InvalidArgument("need at least one step")
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IllConditionedWarning)
-        gr = gramian(sys, t_final)
+    gr = gramian(sys, t_final)
     if gr.singular:
         raise SingularGramian(f"Gramian numerically singular (min eigenvalue "
                               f"{gr.w_min:.3e})")
@@ -153,9 +142,7 @@ def _inverse(eta, n):
 def energy_bounds(sys: DenseSystem, t_final: float):
     """Rayleigh-Ritz bounds for unit-norm targets: E_min = 1/η_max and
     E_max = 1/η_min (inf when the Gramian is singular)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IllConditionedWarning)
-        gr = gramian(sys, t_final)
+    gr = gramian(sys, t_final)
     energies = _inverse(gr.eta[-1:] if gr.singular else gr.eta, sys.n)
     return energies[-1], math.inf if gr.singular else energies[0]
 
@@ -165,9 +152,7 @@ def energy_spectrum(sys: DenseSystem, t_final: float):
 
     Returns (energies ascending, eigenvectors as columns aligned with the
     energies)."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IllConditionedWarning)
-        gr = gramian(sys, t_final)
+    gr = gramian(sys, t_final)
     if gr.singular:
         raise SingularGramian("energy spectrum undefined for singular Gramian")
     _inverse(gr.eta, sys.n)  # H(T) is finite before eigh reads it

@@ -69,10 +69,6 @@ class SingularGramian(NetctlError):
     pass
 
 
-class IllConditionedWarning(UserWarning):
-    pass
-
-
 class SingularB(NetctlError):
     pass
 

@@ -4,8 +4,8 @@ Everything here starts from one canonical optimum, the Hopcroft-Karp
 matching with lowest-index augmentation (`graphs.maximum_matching`).
 Driver sets report it; counts, link and node classes and Lin's test hold
 for every maximum matching, and each is a search in that matching's
-alternating digraph D (`_alternating_structure`).  Optima are
-exponentially numerous and never enumerated here.  Only
+alternating digraph D, merged onto the n out-copies (`_contracted`).
+Optima are exponentially numerous and never enumerated here.  Only
 `control_centrality` loads scipy (`scipy.sparse.csgraph`'s LAPJV).
 """
 from __future__ import annotations
@@ -85,7 +85,8 @@ def structural_controllability_check(g: DiGraph, drivers):
     the number of exposed in-copies, the largest deficiency any in-copy
     set has, and S is the smallest set with that deficiency (the
     intersection of all of them), so the witness is the same for every
-    maximum matching.
+    maximum matching.  T_S is the copies `_feeding` marks on (A, B), and
+    S the exposed state in-copies and the partners of T_S's members.
     """
     drivers = sorted(set(drivers))
     if not drivers:
@@ -97,48 +98,49 @@ def structural_controllability_check(g: DiGraph, drivers):
     # bipartite split of (A, B): left 0..n-1 state out-copies and
     # n..n+k-1 input copies, one per driver; right: state in-copies
     nk = n + len(drivers)
-    m, _, src, dst = _alternating_structure(DiGraph._of(
-        nk, np.concatenate([g.src, np.arange(n, nk)]),
-        np.concatenate([g.dst, drivers])))
-    exposed = np.flatnonzero(m.pair_right[:n] < 0)
-    if not exposed.size:
+    split = DiGraph._of(nk, np.concatenate([g.src, np.arange(n, nk)]),
+                        np.concatenate([g.dst, drivers]))
+    m = maximum_matching(split)
+    mate = m.pair_right[:n]
+    if (mate >= 0).all():
         return True, None
-    # D reversed: in-copy v -> each out-/input copy feeding it -> that
-    # copy's matched in-copy
-    reached = reach_mask(2 * nk, dst, src, nk + exposed)
-    S = np.flatnonzero(reached[nk:nk + n]).tolist()
-    T = np.flatnonzero(reached[:nk]).tolist()
+    feeding = _feeding(split, m, *_contracted(split, m))
+    # mate -1 reads an arbitrary entry, masked by mate < 0
+    S = np.flatnonzero((mate < 0) | feeding[mate]).tolist()
+    T = np.flatnonzero(feeding).tolist()
     return False, ("dilation", S, T)
 
 
-def _alternating_structure(g: DiGraph):
-    """(m, in_matching, src, dst): one maximum matching, the edges it
-    holds, and its alternating digraph D, with an arc u+ -> v- for each
-    edge u -> v outside m and v- -> u+ for each edge in m; out-copy i is
-    vertex i, in-copy i vertex n + i.  Some maximum matching exposes the
-    copies reached from an exposed out-copy (read by the link and
-    deletion classes) and those reaching an exposed in-copy (by Lin's
-    test and all three classes); an edge inside an SCC of D lies on an
-    alternating cycle (link classes)."""
-    n = g.n_nodes
-    m = maximum_matching(g)
-    u, v = g.src, g.dst
-    in_matching = m.pair_left[u] == v
-    return (m, in_matching, np.where(in_matching, n + v, u),
-            np.where(in_matching, u, n + v))
-
-
-def _contracted(g: DiGraph, m, in_matching):
-    """(src, dst): D with each matched in-copy v- merged into its partner,
-    on the n out-copies: an arc u -> w for each edge u -> v outside m
-    whose in-copy v- is matched to w.  A path of D from one out-copy to
-    another alternates u+ -> v- -> w+, as an exposed in-copy has no
-    out-arc, so out-copies reach each other in D iff they do here.  No
-    arc is a loop: u -> v outside m with v- matched to u would be a
-    second edge u -> v."""
+def _contracted(g: DiGraph, m):
+    """(src, dst): the alternating digraph D of the maximum matching m on
+    the n out-copies.  D has an arc u+ -> v- for each edge u -> v outside
+    m (v- not matched to u) and v- -> u+ for each edge in m; merging each
+    matched v- into its partner w leaves an arc u -> w.  An exposed
+    in-copy has no out-arc, so out-copies reach each other in D iff they
+    do here.  No arc is a loop, as g repeats no edge."""
     mate = m.pair_right[g.dst]
-    arc = ~in_matching & (mate >= 0)
+    arc = (mate >= 0) & (mate != g.src)
     return g.src[arc], mate[arc]
+
+
+def _feeding(g: DiGraph, m, src, dst):
+    """Mask of the out-copies from which D reaches an exposed in-copy: one
+    search of the contracted D (src, dst), backwards from those with an
+    edge into one."""
+    return reach_mask(g.n_nodes, dst, src, g.src[m.pair_right[g.dst] < 0])
+
+
+def _exposable(g: DiGraph, m, src, dst):
+    """(out, in_): masks over the nodes of the copies some maximum matching
+    exposes, from m's contracted D (src, dst).  Out-copy i+: D reaches it
+    from an exposed out-copy, by a path that enters no exposed in-copy
+    (it would augment m), so it shows here.  In-copy i-: it reaches an
+    exposed in-copy in D, so it is exposed or its partner, the end of its
+    only out-arc, is `_feeding`."""
+    mate = m.pair_right
+    out = reach_mask(g.n_nodes, src, dst, np.flatnonzero(m.pair_left < 0))
+    # mate -1 reads an arbitrary entry, masked by mate < 0
+    return out, (mate < 0) | _feeding(g, m, src, dst)[mate]
 
 
 def _tagged(code, names, total):
@@ -155,28 +157,26 @@ def classify_links(g: DiGraph) -> LinkClass:
     tags hold for every maximum matching, so any one will do.
 
     A link u -> v lies on an alternating cycle iff u+ and v- share an SCC
-    of D.  The SCCs come from D contracted onto the out-copies
-    (`_contracted`), half D's nodes.  The only out-arc of a matched v- is
-    v- -> w+ to its partner w, so v- shares an SCC with u+ iff it lies on
-    a cycle of D and w and u share a contracted SCC; v- lies on a cycle
-    iff the SCC of w holds more than w (arcs into w are exactly the arcs
-    into v- of D); an exposed v- lies on none."""
+    of D.  The SCCs come from the contracted D (`_contracted`), half D's
+    nodes.  The only out-arc of a matched v- is v- -> w+ to its partner
+    w, so v- shares an SCC with u+ iff it lies on a cycle of D and w and
+    u share a contracted SCC; v- lies on a cycle iff the SCC of w holds
+    more than w (arcs into w are exactly the arcs into v- of D); an
+    exposed v- lies on none."""
     n = g.n_nodes
-    m, in_matching, src, dst = _alternating_structure(g)
+    m = maximum_matching(g)
     u, v = g.src, g.dst
-    comp = component_ids(n, *_contracted(g, m, in_matching))
+    src, dst = _contracted(g, m)
+    comp = component_ids(n, src, dst)
     mate = m.pair_right[v]
     w = np.maximum(mate, 0)  # the partner of v-, or a stand-in if exposed
     on_cycle = (mate >= 0) & (comp[u] == comp[w]) \
         & (np.bincount(comp, minlength=n)[comp[w]] > 1)
-    from_free_left = reach_mask(2 * n, src, dst,
-                                np.flatnonzero(m.pair_left < 0))
-    to_free_right = reach_mask(2 * n, dst, src,
-                               n + np.flatnonzero(m.pair_right < 0))
-    exchangeable = on_cycle | from_free_left[u] | to_free_right[n + v]
-    in_some = ((m.pair_left[u] < 0) != (m.pair_right[v] < 0)) | exchangeable
+    out, in_ = _exposable(g, m, src, dst)
+    exchangeable = on_cycle | out[u] | in_[v]
+    in_some = ((m.pair_left[u] < 0) != (mate < 0)) | exchangeable
     # 0 critical, 1 redundant, 2 ordinary
-    code = np.where(in_matching, np.where(exchangeable, 2, 0),
+    code = np.where(mate == u, np.where(exchangeable, 2, 0),
                     np.where(in_some, 2, 1))
     tags, fractions = _tagged(code, (CRITICAL, REDUNDANT, ORDINARY),
                               g.n_edges)
@@ -185,17 +185,18 @@ def classify_links(g: DiGraph) -> LinkClass:
 
 def classify_nodes(g: DiGraph) -> NodeClass:
     """Matching-role tags: a node is critical if unmatched in every
-    maximum matching, redundant if matched in every, else intermittent."""
+    maximum matching, redundant if matched in every, else intermittent.
+    A matched node is unmatched in some other maximum matching iff its
+    partner is `_feeding`."""
     n = g.n_nodes
-    m, _, src, dst = _alternating_structure(g)
-    to_free_right = reach_mask(2 * n, dst, src,
-                               n + np.flatnonzero(m.pair_right < 0))
+    m = maximum_matching(g)
+    feeding = _feeding(g, m, *_contracted(g, m))
     # a node exposed in this matching is matched in some other one iff it
     # has an in-edge (trivial exchange with its neighbour)
     has_in = np.bincount(g.dst, minlength=n) > 0
     # 0 critical, 1 intermittent, 2 redundant
     code = np.where(m.pair_right < 0, np.where(has_in, 1, 0),
-                    np.where(to_free_right[n:], 1, 2))
+                    np.where(feeding[m.pair_right], 1, 2))
     tags, fractions = _tagged(code, (CRITICAL, INTERMITTENT, REDUNDANT), n)
     return NodeClass(tags, fractions)
 
@@ -209,24 +210,19 @@ def classify_nodes_deletion(g: DiGraph) -> NodeClass:
     """Deletion tags: whether deleting a node raises (critical), keeps
     (ordinary) or lowers (redundant) N_D, from one maximum matching.
 
-    Deleting node i removes out-copy i+ and in-copy i-.  A copy is
-    avoidable if some maximum matching exposes it.  The matching loses no
-    edge if both copies are avoidable, one if exactly one is, and else
-    one if the out-copy b matched to i- reaches i+ in D (b = i is a
-    matched self-loop) and two if not (Dulmage-Mendelsohn).  The "does b
-    reach i+" queries are answered together, on D contracted onto the
-    out-copies (`_contracted`), where b reaches i iff b+ reaches i+ in
-    D."""
+    Deleting node i removes out-copy i+ and in-copy i-.  The matching
+    loses no edge if some maximum matching exposes both copies, one if
+    exactly one (`_exposable`), and else one if the out-copy b matched to
+    i- reaches i+ in D (b = i is a matched self-loop) and two if not
+    (Dulmage-Mendelsohn).  The "does b reach i+" queries are answered
+    together, on the contracted D (`_contracted`)."""
     n = g.n_nodes
-    m, in_matching, src, dst = _alternating_structure(g)
-    out_avoidable = reach_mask(2 * n, src, dst,
-                               np.flatnonzero(m.pair_left < 0))[:n]
-    in_avoidable = reach_mask(2 * n, dst, src,
-                              n + np.flatnonzero(m.pair_right < 0))[n:]
-    lost = 2 - out_avoidable.astype(np.intp) - in_avoidable
+    m = maximum_matching(g)
+    src, dst = _contracted(g, m)
+    out, in_ = _exposable(g, m, src, dst)
+    lost = 2 - out.astype(np.intp) - in_
     both = np.flatnonzero(lost == 2)
-    lost[both] -= reach_pairs(n, *_contracted(g, m, in_matching),
-                              m.pair_right[both], both)
+    lost[both] -= reach_pairs(n, src, dst, m.pair_right[both], both)
     base = max(n - m.size, 1) if n else 0
     # the graph left after deleting the only node is empty: N_D = 0
     nd = np.where(n > 1, np.maximum(n - 1 - m.size + lost, 1), 0)

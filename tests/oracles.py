@@ -5,6 +5,7 @@ Nothing here calls the algorithms under test.
 """
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 
@@ -340,6 +341,70 @@ def hopcroft_karp_reference(n, pairs):
     return pair_l, pair_r
 
 
+def alternating_digraph_reference(n, src, dst):
+    """`hopcroft_karp_reference`'s matching of the digraph on n nodes with
+    edges src[i] -> dst[i], and its full alternating digraph D on 2n
+    vertices: out-copy i is vertex i and in-copy i vertex n + i, with an
+    arc u+ -> v- for each edge u -> v outside the matching and v- -> u+
+    for each edge in it.  Returns (pair_left, pair_right, in_matching,
+    d_src, d_dst) as arrays."""
+    src = np.asarray(src, dtype=np.intp)
+    dst = np.asarray(dst, dtype=np.intp)
+    pair_l, pair_r = (np.array(p, dtype=np.intp) for p in
+                      hopcroft_karp_reference(n, zip(src.tolist(),
+                                                     dst.tolist())))
+    in_matching = pair_l[src] == dst
+    return (pair_l, pair_r, in_matching, np.where(in_matching, n + dst, src),
+            np.where(in_matching, src, n + dst))
+
+
+def _search(n, src, dst, sources):
+    """Mask of the vertices reachable from `sources` (sources included)
+    under the arcs src[i] -> dst[i], by a depth-first search."""
+    adj = [[] for _ in range(n)]
+    for s, d in zip(src.tolist(), dst.tolist()):
+        adj[s].append(d)
+    seen = np.zeros(n, dtype=bool)
+    stack = list(sources)
+    while stack:
+        u = stack.pop()
+        if not seen[u]:
+            seen[u] = True
+            stack.extend(adj[u])
+    return seen
+
+
+def exposable_reference(g):
+    """(out, in_): over g's nodes, whether some maximum matching exposes
+    out-copy i+ (the full D reaches it from an exposed out-copy) and
+    in-copy i- (it reaches an exposed in-copy in the full D)."""
+    n = g.n_nodes
+    pair_l, pair_r, _, src, dst = alternating_digraph_reference(n, g.src,
+                                                                g.dst)
+    return (_search(2 * n, src, dst, np.flatnonzero(pair_l < 0))[:n],
+            _search(2 * n, dst, src, n + np.flatnonzero(pair_r < 0))[n:])
+
+
+def dilation_reference(g, drivers):
+    """Lin's dilation witness (S, T) of (A, B), one input per driver, or
+    None when a matching of (A, B) covers every state in-copy.  The split
+    has state out-copies 0..n-1 and input copies n..n+k-1 on the left;
+    S is the state in-copies and T the left copies that the full D,
+    searched backwards from the exposed state in-copies, reaches."""
+    drivers = sorted(set(drivers))
+    n = g.n_nodes
+    nk = n + len(drivers)
+    pair_l, pair_r, _, src, dst = alternating_digraph_reference(
+        nk, np.concatenate([g.src, np.arange(n, nk)]),
+        np.concatenate([g.dst, drivers]))
+    exposed = np.flatnonzero(pair_r[:n] < 0)
+    if not exposed.size:
+        return None
+    reached = _search(2 * nk, dst, src, nk + exposed)
+    return (np.flatnonzero(reached[nk:nk + n]).tolist(),
+            np.flatnonzero(reached[:nk]).tolist())
+
+
 def parse_edge_list_reference(text, directed=True):
     """Line-by-line edge-list reader.  Returns (labels, edges): edges are
     (src, dst, weight) triples, or (min, max) pairs when undirected.
@@ -511,6 +576,19 @@ def cavity_residual(dist_in, dist_out, state) -> float:
         abs(w2h - (1.0 - dist_in.h(1.0 - w1))),
         abs(w3h - (1.0 - w1h - w2h)),
     )
+
+
+def poisson_pmf(d, k):
+    """P(k) of a `cavity.PoissonDist`."""
+    return math.exp(-d.mean) * d.mean**k / math.factorial(k)
+
+
+def sf_static_pmf(d, k):
+    """P(k) of a `cavity.SFStaticDist`: its Poisson mixture, summed over
+    the distribution's own quadrature nodes in log space."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = d._log_w + k * d._log_lam - d._lam - math.lgamma(k + 1)
+    return float(np.exp(e).sum())
 
 
 def is_dominating_set(g, nodes) -> bool:

@@ -3,11 +3,15 @@ own unit tests.
 
 A public module-level function, class or constant of `src/netctl` must be
 named in `src/` outside the lines that define it, in `scripts/`, in
-`perfbench/` or in `tests/test_acceptance.py`.  A name that only its own
-unit tests use is library code that no command, script, benchmark or
+`perfbench/` or in `tests/test_acceptance.py`.  A public method of a
+module-level class must be read as an attribute (`.name`) in the same
+places, unless a base class from outside netctl defines the name, as
+argparse does for `cli._Parser.parse_known_args`.  A name that only its
+own unit tests use is library code that no command, script, benchmark or
 acceptance criterion runs: it belongs in the tests or nowhere.
 """
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -33,6 +37,26 @@ def public_definitions(tree):
                 yield name, node.lineno, node.end_lineno
 
 
+def public_methods(tree, module_name):
+    """(qualified name, name, first line, last line) of each public method
+    of a module-level class that no base class from outside netctl
+    defines."""
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        cls = getattr(importlib.import_module(module_name), node.name)
+        foreign = [base for base in cls.__mro__[1:]
+                   if not base.__module__.startswith("netctl")]
+        for item in node.body:
+            if (isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("_")
+                    and not any(item.name in vars(b) for b in foreign)):
+                first = min([item.lineno]
+                            + [d.lineno for d in item.decorator_list])
+                yield (f"{node.name}.{item.name}", item.name, first,
+                       item.end_lineno)
+
+
 def unused_public_names():
     sources = {p: p.read_text(encoding="utf-8")
                for p in sorted((ROOT / "src").rglob("*.py"))}
@@ -46,11 +70,18 @@ def unused_public_names():
         lines = sources[path].splitlines()
         others = [outside] + [text for p, text in sources.items()
                               if p != path]
-        for name, first, last in public_definitions(ast.parse(sources[path])):
+        tree = ast.parse(sources[path])
+        # a module-level name is matched as a word, a method as `.name`
+        defined = [(name, rf"\b{re.escape(name)}\b", first, last)
+                   for name, first, last in public_definitions(tree)]
+        defined += [(qualified, rf"\.{re.escape(name)}\b", first, last)
+                    for qualified, name, first, last
+                    in public_methods(tree, f"netctl.{path.stem}")]
+        for qualified, regex, first, last in defined:
             own = "\n".join(lines[:first - 1] + lines[last:])
-            pattern = re.compile(rf"\b{re.escape(name)}\b")
+            pattern = re.compile(regex)
             if not any(pattern.search(text) for text in [own] + others):
-                unused.append(f"{path.stem}.{name}")
+                unused.append(f"{path.stem}.{qualified}")
     return unused
 
 

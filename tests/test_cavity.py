@@ -14,22 +14,23 @@ from netctl.cavity import (
     solve_cavity_sf,
 )
 from netctl.errors import InvariantViolation, NetctlError, NonConvergence
-from oracles import cavity_residual
+from oracles import cavity_residual, poisson_pmf, sf_static_pmf
 
 
 class TestDistributions:
     def test_poisson_pmf_sums_to_one(self):
         d = PoissonDist(3.0)
-        assert abs(sum(d.pmf(k) for k in range(80)) - 1.0) < 1e-10
+        assert abs(sum(poisson_pmf(d, k) for k in range(80)) - 1.0) < 1e-10
 
     def test_sf_pmf_sums_to_one(self):
         d = SFStaticDist(2.0, 3.0)
-        assert abs(sum(d.pmf(k) for k in range(5000)) - 1.0) < 1e-6
+        assert abs(sum(sf_static_pmf(d, k) for k in range(5000)) - 1.0) < 1e-6
 
     def test_sf_tail_exponent(self):
         # P(k) ~ k^-gamma: ratio of log-pmf slopes at large k
         d = SFStaticDist(2.0, 3.0)
-        slope = (math.log(d.pmf(400)) - math.log(d.pmf(100))) / math.log(4.0)
+        slope = (math.log(sf_static_pmf(d, 400))
+                 - math.log(sf_static_pmf(d, 100))) / math.log(4.0)
         assert abs(slope + 3.0) < 0.25  # finite-k correction to the pure power law
 
     @given(st.floats(0.1, 6.0), st.floats(0.0, 1.0))
@@ -102,11 +103,12 @@ class TestSolveCavity:
         assert "after 3 iterations" in str(info.value)
 
     @pytest.mark.parametrize("k_mean", [100.0, 1e3, 1e4, 1e100, 1e308])
-    @pytest.mark.parametrize("gamma", [None, 3.0])
+    @pytest.mark.parametrize("gamma", [None, 2.05, 2.5, 3.0])
     def test_dense_driver_fraction_in_unit_interval(self, k_mean, gamma):
         # n_d weighs the fixed point's error by z/2, so the stopping rule
         # scales with it; an unscaled stop gave -1.9e-14 at <k> = 1e3 and
-        # 6.35e286 at 1e308
+        # 6.35e286 at 1e308.  Static-model weights summing to 1 - 2.5e-13
+        # (gamma = 2.05) gave n_d = -2.5e-13 from <k> = 1e4
         nd, _ = solve_cavity_er(k_mean) if gamma is None \
             else solve_cavity_sf(k_mean, gamma)
         assert 0.0 <= nd <= 1.0

@@ -27,8 +27,11 @@ from netctl.structural import (
     switchboard_drivers,
 )
 from oracles import (
+    alternating_digraph_reference,
     classify_nodes_deletion_reference,
     control_centrality_reference,
+    dilation_reference,
+    exposable_reference,
     generic_min_drivers,
     maximum_matchings,
 )
@@ -255,23 +258,50 @@ class TestClassifyLinks:
 
 
 def full_d_link_tags(g):
-    """Link tags with the SCCs taken on the whole alternating digraph D:
-    a link u -> v lies on an alternating cycle iff u+ and v- share one."""
+    """Link tags with the SCCs taken on the whole alternating digraph D
+    (`oracles.alternating_digraph_reference`): a link u -> v lies on an
+    alternating cycle iff u+ and v- share one."""
     n = g.n_nodes
-    m, in_matching, src, dst = structural._alternating_structure(g)
+    pair_l, pair_r, in_matching, src, dst = alternating_digraph_reference(
+        n, g.src, g.dst)
     comp = component_ids(2 * n, src, dst)
-    from_free_left = reach_mask(2 * n, src, dst,
-                                np.flatnonzero(m.pair_left < 0))
-    to_free_right = reach_mask(2 * n, dst, src,
-                               n + np.flatnonzero(m.pair_right < 0))
+    out, in_ = exposable_reference(g)
     u, v = g.src, g.dst
-    exchangeable = (comp[u] == comp[n + v]) | from_free_left[u] \
-        | to_free_right[n + v]
-    in_some = ((m.pair_left[u] < 0) != (m.pair_right[v] < 0)) | exchangeable
+    exchangeable = (comp[u] == comp[n + v]) | out[u] | in_[v]
+    in_some = ((pair_l[u] < 0) != (pair_r[v] < 0)) | exchangeable
     return [(ORDINARY if x else CRITICAL) if matched else
             (ORDINARY if s else REDUNDANT)
             for matched, x, s in zip(in_matching.tolist(),
                                      exchangeable.tolist(), in_some.tolist())]
+
+
+class TestAgainstFullD:
+    """The exposure masks, node tags and Lin's dilation witness, read on
+    D contracted onto the out-copies, equal searches of the full D on 2n
+    vertices."""
+
+    def test_small_digraphs(self):
+        rng = random.Random(7)
+        dilated = 0
+        for _ in range(600):
+            g = random_digraph(rng, rng.randint(1, 14), rng.random() ** 2)
+            m = graphs.maximum_matching(g)
+            out, in_ = exposable_reference(g)
+            got = structural._exposable(g, m, *structural._contracted(g, m))
+            assert got[0].tolist() == out.tolist()
+            assert got[1].tolist() == in_.tolist()
+            has_in = np.bincount(g.dst, minlength=g.n_nodes) > 0
+            assert classify_nodes(g).tags == [
+                (INTERMITTENT if x else REDUNDANT) if h else CRITICAL
+                for x, h in zip(in_.tolist(), has_in.tolist())]
+            # one driver per root SCC reaches every node, so Lin's test
+            # can fail only by dilation
+            drivers = [members[0] for members in root_sccs(g)]
+            want = dilation_reference(g, drivers)
+            assert structural_controllability_check(g, drivers) == (
+                (True, None) if want is None else (False, ("dilation", *want)))
+            dilated += want is not None
+        assert dilated == 62
 
 
 class TestContractedLinkSccs:

@@ -13,7 +13,7 @@ import numpy as np
 
 from netctl.cavity import solve_cavity_er
 from netctl.generators import er_digraph
-from netctl.structural import driver_count
+from netctl.structural import min_driver_set
 
 
 def main():
@@ -35,7 +35,7 @@ def main():
         for s in range(args.seeds):
             rng = np.random.default_rng(args.seed0 + s)
             g = er_digraph(args.n, float(k), rng)
-            samples.append(driver_count(g) / args.n)
+            samples.append(min_driver_set(g).n_drivers / args.n)
         mean = float(np.mean(samples))
         se = float(np.std(samples, ddof=1) / np.sqrt(args.seeds)) if args.seeds > 1 else 0.0
         w.writerow([f"{k:.3f}", f"{n_d_cavity:.6f}", f"{mean:.6f}", f"{se:.6f}"])

@@ -9,8 +9,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidArgument, InvariantViolation, NonConvergence
 
 
@@ -49,8 +47,11 @@ class SFStaticDist:
             raise InvalidArgument("gamma must exceed 2")
         if mean <= 0:
             raise InvalidArgument("mean must be positive")
+        import numpy as np
+
         self.mean = float(mean)
         self.gamma = float(gamma)
+        self._exp = np.exp  # numpy stays unloaded for the Poisson ensemble
         a = 1.0 / (gamma - 1.0)
         # u = t^p flattens the u^(-a) singularity exactly; with this p the
         # transformed mean integrand is constant in t
@@ -79,11 +80,12 @@ class SFStaticDist:
 
     def g(self, x: float) -> float:
         # clip: quadrature roundoff can overshoot the exact range by a few ulp
-        return min(float(np.exp(self._log_w + self._lam * (x - 1.0)).sum()), 1.0)
+        return min(float(self._exp(self._log_w + self._lam * (x - 1.0)).sum()),
+                   1.0)
 
     def h(self, x: float) -> float:
         e = self._log_wl + self._lam * (x - 1.0)
-        return min(float(np.exp(e).sum()) / self.mean, 1.0)
+        return min(float(self._exp(e).sum()) / self.mean, 1.0)
 
 
 @dataclass

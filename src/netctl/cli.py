@@ -368,6 +368,8 @@ def cmd_clamp(args):
 
     if args.t < 0:
         raise InvalidArgument("horizon must not be negative")
+    steering._steps_that_fit(20 * args.t, 2, f"the horizon {args.t:g} and "
+                             f"20 samples per unit time", "samples")
     sys_ = steering.make_system("bistable-gene")
     s1, s3 = steering.gene_toggle_attractors()
     times = np.linspace(0.0, args.t, int(20 * args.t) + 1)

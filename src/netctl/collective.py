@@ -7,7 +7,7 @@ import numpy as np
 
 from .errors import DisconnectedGraph, InvalidArgument, NoPinnedNodes
 from .graphs import UnGraph
-from .steering import _rk4_step
+from .steering import _rk4_step, _steps_that_fit
 
 
 def laplacian_matrix(g: UnGraph) -> np.ndarray:
@@ -107,7 +107,8 @@ def pinning_sync_simulate(cfg, osc, h, x0, s0, t_final, adaptive=False,
     z = np.concatenate([np.asarray(x0, dtype=float).reshape(m),
                         np.asarray(s0, dtype=float), cfg.kappa])
     dt = 0.01
-    n_steps = int(round(t_final / dt))
+    n_steps = _steps_that_fit(t_final / dt, 1, f"the horizon {t_final:g} "
+                              f"and step {dt:g}", "RK4 steps")
     err = np.empty(n_steps + 1)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for k in range(n_steps + 1):
@@ -236,6 +237,7 @@ def vicsek_order_parameter(n, l, v0, r, eta, steps, seed=0,
         transient = steps // 2
     if not 0 <= transient < steps:
         raise InvalidArgument("transient must lie in [0, steps)")
+    _steps_that_fit(steps, 1, "the order-parameter samples", "steps")
     state = vicsek_init(n, l, v0, r, eta, seed)
     phi = np.empty(steps + 1)
     phi[0] = order_parameter(state)
@@ -262,6 +264,7 @@ def vicsek_leader_run(n, l, v0, r, theta0, steps, seed=0, eta=0.0):
         raise InvalidArgument("interaction radius must not be negative")
     if eta < 0:
         raise InvalidArgument("noise amplitude must not be negative")
+    _steps_that_fit(steps, 1, "the deviation samples", "steps")
     rng = _step_rng(seed, 0)
     pos = rng.uniform(0.0, l, (n, 2))
     # the leader is agent n, held at θ₀ and found by the same pair search

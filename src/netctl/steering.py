@@ -22,7 +22,7 @@ from .errors import (
     SingularB,
     UnknownSystem,
 )
-from .graphs import DiGraph, component_ids, reach_mask
+from .graphs import DiGraph, _lists, _tarjan, component_ids, reach_mask
 
 
 @dataclass
@@ -30,26 +30,12 @@ class OdeSystem:
     """Control-affine system ẋ = f(t, x) + u: f(t, x) returns the drift as
     a fresh float array, and each steering method adds its own input.  Where
     f allows it, x may hold one state per column, (n, k), and f(t, x) then
-    has the same shape.  jac(t, x) is an optional analytic Jacobian ∂f/∂x;
-    a central finite difference is used when none is given."""
+    has the same shape.  jac(t, x) is the analytic Jacobian ∂f/∂x, which
+    only `compensatory_perturbation` needs."""
 
     n: int
     f: Callable
     jac: Optional[Callable] = None
-
-    def jacobian(self, t, x):
-        if self.jac is not None:
-            return np.asarray(self.jac(t, x), dtype=float)
-        x = np.asarray(x, dtype=float)
-        eps = 1e-6
-        cols = []
-        for i in range(self.n):
-            dx = np.zeros(self.n)
-            dx[i] = eps * max(1.0, abs(x[i]))
-            fp = np.asarray(self.f(t, x + dx), dtype=float)
-            fm = np.asarray(self.f(t, x - dx), dtype=float)
-            cols.append((fp - fm) / (2 * dx[i]))
-        return np.column_stack(cols)
 
 
 def _rk4_step(rhs, t, x, h):
@@ -59,6 +45,18 @@ def _rk4_step(rhs, t, x, h):
     k3 = rhs(t + h / 2, x + h / 2 * k2)
     k4 = rhs(t + h, x + h * k3)
     return x + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+def _steps_that_fit(steps, width, what, unit):
+    """round(steps), once a trajectory of steps + 2 rows of `width` floats
+    is known to fit in one array; otherwise, and for a count of inf or
+    NaN, InvalidArgument "<what> need <steps> <unit>"."""
+    if not steps + 2 <= np.iinfo(np.intp).max // (width * 8):  # 8-byte floats
+        # an int count may be too large to format as a float
+        shown = math.inf if steps > float(np.finfo(float).max) else steps
+        raise InvalidArgument(f"{what} need {shown:.3g} {unit}, more than "
+                              f"one array holds")
+    return round(steps)
 
 
 # Dormand-Prince 5(4) pair (Dormand & Prince, J. Comput. Appl. Math. 6, 19,
@@ -275,6 +273,7 @@ def ogy_stabilize_henon(hp, n_steps=2000, seed=None):
     of the parameter inside the activation radius, capped at 1% of it."""
     if n_steps < 1:
         raise InvalidArgument("need at least one step")
+    _steps_that_fit(n_steps, 2, "the orbit and its kicks", "map steps")
     x0 = np.random.default_rng(seed).uniform(-0.5, 0.5, 2)
     x_star = henon_fixed_point(hp.p, hp.b)
     target = np.array([x_star, x_star])
@@ -332,15 +331,11 @@ def pyragas_feedback(sys, output, k_gain, tau, t_final, x0, dt=0.02):
         raise InvalidArgument("the step must be positive and finite, and "
                               "the horizon finite")
 
-    # the trajectory is one array: refuse a step count no array can hold
-    max_rows = np.iinfo(np.intp).max // (sys.n * np.dtype(float).itemsize)
-    n_delay = max(round(min(tau / dt, max_rows)), 4)
+    what = f"the delay {tau:g} and horizon {t_final:g}"
+    n_delay = max(_steps_that_fit(tau / dt, sys.n, what, "RK4 steps"), 4)
     dt = tau / n_delay  # snap the step so the delay is a whole number of steps
-    steps = n_delay + (t_final / dt if dt else math.inf)
-    if not steps + 2 <= max_rows:
-        raise InvalidArgument(f"the delay {tau:g} and horizon {t_final:g} "
-                              f"need {steps:.3g} RK4 steps, more than one "
-                              f"array holds")
+    _steps_that_fit(n_delay + (t_final / dt if dt else math.inf), sys.n, what,
+                    "RK4 steps")
     n_main = int(round(t_final / dt))
     if n_main < 1:
         raise InvalidArgument("horizon must span at least one step")
@@ -385,6 +380,9 @@ def compensatory_perturbation(sys, x0, x_target, bounds=None, budget=20):
     x_target = np.asarray(x_target, dtype=float)
     if budget < 0:
         raise InvalidArgument("budget must not be negative")
+    if sys.jac is None:
+        raise InvalidArgument("the linearized flow needs the system's "
+                              "Jacobian jac")
     if bounds is None:
         lo = np.full(sys.n, -np.inf)
         hi = np.full(sys.n, np.inf)
@@ -434,7 +432,7 @@ def _flow_matrix(sys, x0, t_c):
         return np.eye(n)
 
     def rhs(t, z):
-        dm = sys.jacobian(t, z[:n]) @ z[n:].reshape(n, n)
+        dm = sys.jac(t, z[:n]) @ z[n:].reshape(n, n)
         return np.concatenate([sys.f(t, z[:n]), dm.ravel()])
 
     z0 = np.concatenate([np.asarray(x0, dtype=float), np.eye(n).ravel()])
@@ -522,24 +520,21 @@ def _bvls(m, r, lb, ub):
 # Feedback vertex sets
 
 
-def _topo_order(g, removed):
-    """Kahn order of the nodes outside `removed`, or None if a cycle stays."""
-    indeg = {v: 0 for v in range(g.n_nodes) if v not in removed}
-    for s, d in zip(g.src.tolist(), g.dst.tolist()):
-        if s not in removed and d not in removed:
-            indeg[d] += 1
-    indptr, heads = (a.tolist() for a in g.sorted_heads())
-    stack = [v for v, c in indeg.items() if c == 0]
-    order = []
-    while stack:
-        v = stack.pop()
-        order.append(v)
-        for d in heads[indptr[v]:indptr[v + 1]]:
-            if d in indeg and d != v:
-                indeg[d] -= 1
-                if indeg[d] == 0:
-                    stack.append(d)
-    return order if len(order) == len(indeg) else None
+def _acyclic_order(n, src, dst, alive):
+    """The nodes of `alive` in a topological order of the arcs src[i] ->
+    dst[i] between them, or None if those arcs close a cycle.  They are
+    acyclic iff no kept node has a self-loop and each strong component is
+    one node; Tarjan closes components sinks first, so descending component
+    id is the order."""
+    keep = alive[src] & alive[dst]
+    src, dst = src[keep], dst[keep]
+    if (src == dst).any():
+        return None
+    comp, count = _tarjan(n, *_lists(n, src, dst))
+    if count < n:
+        return None
+    order = np.argsort(comp)[::-1]  # comp is a permutation of 0..n-1
+    return order[alive[order]].tolist()
 
 
 def fvs_find(g: DiGraph, mode="heuristic") -> FvsResult:
@@ -547,21 +542,23 @@ def fvs_find(g: DiGraph, mode="heuristic") -> FvsResult:
     digraph acyclic.  Exact mode enumerates subsets by size (N ≤ 15);
     the heuristic shrinks strongly connected components by removing
     high-traffic nodes, then restores any node not actually needed."""
+    n = g.n_nodes
+    src, dst = g.src, g.dst
     if mode == "exact":
-        if g.n_nodes > 15:
+        if n > 15:
             raise InvalidArgument("exact mode limited to 15 nodes")
-        for size in range(g.n_nodes + 1):
-            for combo in itertools.combinations(range(g.n_nodes), size):
-                order = _topo_order(g, set(combo))
+        for size in range(n + 1):
+            for combo in itertools.combinations(range(n), size):
+                alive = np.ones(n, dtype=bool)
+                alive[list(combo)] = False
+                order = _acyclic_order(n, src, dst, alive)
                 if order is not None:
-                    return FvsResult(nodes=sorted(combo), order=order,
+                    return FvsResult(nodes=list(combo), order=order,
                                      exact=True)
         raise InvariantViolation("removing all nodes always leaves a DAG")
     if mode != "heuristic":
         raise InvalidArgument(f"unknown mode {mode!r}")
 
-    n = g.n_nodes
-    src, dst = g.src, g.dst
     alive = np.ones(n, dtype=bool)  # False on the nodes in the set
     alive[src[src == dst]] = False
     s, d = src, dst
@@ -591,11 +588,11 @@ def fvs_find(g: DiGraph, mode="heuristic") -> FvsResult:
         keep = alive[src] & alive[dst]
         alive[v] = not reach_mask(n, src[keep], dst[keep],
                                   dst[keep & (src == v)])[v]
-    fvs = set(np.flatnonzero(~alive).tolist())
-    order = _topo_order(g, fvs)
+    order = _acyclic_order(n, src, dst, alive)
     if order is None:
         raise InvariantViolation("feedback vertex set leaves a cycle")
-    return FvsResult(nodes=sorted(fvs), order=order, exact=False)
+    return FvsResult(nodes=np.flatnonzero(~alive).tolist(), order=order,
+                     exact=False)
 
 
 def fvs_clamp(sys, clamp_nodes, times, samples):

@@ -2,9 +2,10 @@
 
 Everything here starts from one canonical optimum, the Hopcroft-Karp
 matching with lowest-index augmentation (`graphs.maximum_matching`).
-Driver sets report it; counts, link and node classes and Lin's test hold
-for every maximum matching, and each is a search in that matching's
-alternating digraph D, merged onto the n out-copies (`_contracted`).
+Driver sets report it.  Their size N_D (`min_driver_set(g).n_drivers`),
+the link and node classes and Lin's test hold for every maximum matching;
+the last three are searches in its alternating digraph D, merged onto the
+n out-copies (`_contracted`).
 Optima are exponentially numerous and never enumerated here.  Only
 `control_centrality` loads scipy (`scipy.sparse.csgraph`'s LAPJV).
 """
@@ -66,12 +67,6 @@ def min_driver_set(g: DiGraph) -> DriverReport:
     drivers = m.unmatched_nodes() or ([0] if g.n_nodes else [])
     return DriverReport(max(g.n_nodes - m.size, 1) if g.n_nodes else 0,
                         drivers, m.size)
-
-
-def driver_count(g: DiGraph) -> int:
-    """N_D alone: n minus the size of a maximum matching, at least 1."""
-    n = g.n_nodes
-    return max(n - maximum_matching(g).size, 1) if n else 0
 
 
 def structural_controllability_check(g: DiGraph, drivers):
@@ -233,7 +228,7 @@ def classify_nodes_deletion(g: DiGraph) -> NodeClass:
 
 
 def control_profile(g: DiGraph) -> ControlProfile:
-    n_d = driver_count(g)
+    n_d = min_driver_set(g).n_drivers
     n = g.n_nodes
     n_s = n - np.count_nonzero(np.bincount(g.dst, minlength=n))
     n_t = n - np.count_nonzero(np.bincount(g.src, minlength=n))

@@ -89,36 +89,52 @@ def brute_force_mds(n, edges):
     return best
 
 
+def is_acyclic(n, pairs, removed):
+    """Whether the arcs of `pairs` among the nodes outside `removed` close
+    no cycle (a self-loop is a cycle), by Kahn's algorithm."""
+    adj = [[] for _ in range(n)]
+    for s, d in pairs:
+        if s not in removed and d not in removed:
+            if s == d:
+                return False
+            adj[s].append(d)
+    indeg = [0] * n
+    for s in range(n):
+        for d in adj[s]:
+            indeg[d] += 1
+    stack = [v for v in range(n) if v not in removed and indeg[v] == 0]
+    seen = 0
+    while stack:
+        v = stack.pop()
+        seen += 1
+        for d in adj[v]:
+            indeg[d] -= 1
+            if indeg[d] == 0:
+                stack.append(d)
+    return seen == n - len(removed)
+
+
 def brute_force_fvs(n, pairs):
-    """Minimum feedback vertex set size by increasing-size subset search."""
-
-    def acyclic(removed):
-        adj = [[] for _ in range(n)]
-        for s, d in pairs:
-            if s not in removed and d not in removed:
-                if s == d:
-                    return False
-                adj[s].append(d)
-        indeg = [0] * n
-        for s in range(n):
-            for d in adj[s]:
-                indeg[d] += 1
-        stack = [v for v in range(n) if v not in removed and indeg[v] == 0]
-        seen = 0
-        while stack:
-            v = stack.pop()
-            seen += 1
-            for d in adj[v]:
-                indeg[d] -= 1
-                if indeg[d] == 0:
-                    stack.append(d)
-        return seen == n - len(removed)
-
+    """Minimum feedback vertex set by increasing-size subset search:
+    (size, the first such set in `itertools.combinations` order)."""
     for size in range(n + 1):
         for subset in itertools.combinations(range(n), size):
-            if acyclic(set(subset)):
+            if is_acyclic(n, pairs, set(subset)):
                 return size, set(subset)
     raise AssertionError("unreachable")
+
+
+def finite_difference_jacobian(f, t, x):
+    """∂f/∂x at (t, x) by central differences, step 1e-6·max(1, |x_i|)."""
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for i in range(len(x)):
+        dx = np.zeros(len(x))
+        dx[i] = 1e-6 * max(1.0, abs(x[i]))
+        fp = np.asarray(f(t, x + dx), dtype=float)
+        fm = np.asarray(f(t, x - dx), dtype=float)
+        cols.append((fp - fm) / (2 * dx[i]))
+    return np.column_stack(cols)
 
 
 def longest_path_layers(n, pairs, source):

@@ -377,6 +377,26 @@ class TestTypedErrors:
         assert err.startswith("InvalidArgument: ") and err.count("\n") == 1
         assert f"need {steps} RK4 steps" in err
 
+    @pytest.mark.parametrize("argv, steps", [
+        (["pinning-sim", "--t", "1e17"], "1e+19 RK4 steps"),
+        (["pinning-sim", "--t", "1e300"], "1e+302 RK4 steps"),
+        (["pinning-sim", "--t", "1e308"], "inf RK4 steps"),
+        (["clamp", "--t", "1e300"], "2e+301 samples"),
+        (["clamp", "--t", "1e308"], "inf samples"),
+        (["ogy", "--steps", "100000000000000000000"], "1e+20 map steps"),
+        (["vicsek", "--n", "3", "--steps", "100000000000000000000"],
+         "1e+20 steps"),
+        (["vicsek-leader", "--steps", "100000000000000000000"], "1e+20 steps"),
+    ], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+    def test_step_count_beyond_any_array(self, capsys, argv, steps):
+        """A horizon or step count whose trace no array can hold is refused
+        before anything is allocated, as pyragas's is."""
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("InvalidArgument: ") and err.count("\n") == 1
+        assert f"need {steps}, more than one array holds" in err
+
 
 FUZZ_LABEL = st.sampled_from(["a", "b", "c", "d", "0", "1", "2", "-1", "é",
                               "节点", "x#", "#", "1.5"])

@@ -52,45 +52,46 @@ def scipy_modules(modules):
 # scipy.sparse.csgraph imports scipy.linalg
 CSGRAPH = {"sparse", "linalg"}
 
-# every subcommand with short arguments, and the public scipy subpackages
-# its run may load
+# every subcommand with short arguments, the public scipy subpackages its
+# run may load, and whether it may load numpy
 FOOTPRINT = [
-    (["drivers", "--input", "{di}"], set()),
-    (["check", "--input", "{di}", "--drivers", "a"], set()),
-    (["classify-links", "--input", "{di}"], set()),
-    (["classify-nodes", "--input", "{di}"], set()),
-    (["classify-nodes", "--input", "{di}", "--deletion"], set()),
-    (["profile", "--input", "{di}"], set()),
-    (["centrality", "--input", "{di}", "--nodes", "a"], CSGRAPH),
-    (["actuators", "--input", "{di}"], set()),
-    (["switchboard", "--input", "{di}"], set()),
-    (["cavity", "--dist", "sf-static", "--kmean", "4"], set()),
-    (["exact-nd", "--a", "{a}"], set()),
-    (["energy", "--a", "{a}", "--b", "{b}", "--t", "2"], set()),
-    (["spectrum", "--a", "{a}", "--b", "{b}", "--t", "2"], set()),
-    (["sensors", "--reactions", "{reactions}"], set()),
+    (["drivers", "--input", "{di}"], set(), True),
+    (["check", "--input", "{di}", "--drivers", "a"], set(), True),
+    (["classify-links", "--input", "{di}"], set(), True),
+    (["classify-nodes", "--input", "{di}"], set(), True),
+    (["classify-nodes", "--input", "{di}", "--deletion"], set(), True),
+    (["profile", "--input", "{di}"], set(), True),
+    (["centrality", "--input", "{di}", "--nodes", "a"], CSGRAPH, True),
+    (["actuators", "--input", "{di}"], set(), True),
+    (["switchboard", "--input", "{di}"], set(), True),
+    (["cavity", "--dist", "er", "--kmean", "4"], set(), False),
+    (["cavity", "--dist", "sf-static", "--kmean", "4"], set(), True),
+    (["exact-nd", "--a", "{a}"], set(), True),
+    (["energy", "--a", "{a}", "--b", "{b}", "--t", "2"], set(), True),
+    (["spectrum", "--a", "{a}", "--b", "{b}", "--t", "2"], set(), True),
+    (["sensors", "--reactions", "{reactions}"], set(), True),
     (["target-sensor", "--reactions", "{reactions}", "--targets", "x1"],
-     set()),
-    (["mds", "--input", "{un}"], set()),
+     set(), True),
+    (["mds", "--input", "{un}"], set(), True),
     (["obs-transition", "--input", "{un}", "--phi", "0.5", "--trials", "2"],
-     set()),
+     set(), True),
     (["observer", "--a", "{a}", "--c", "{c}", "--l", "{l}", "--x0", "1,0,0",
-      "--z0", "0,0,0", "--t", "1"], set()),
-    (["hubler", "--a", "{a}"], set()),
-    (["ogy", "--steps", "20000"], set()),
-    (["pyragas", "--t", "5"], set()),
-    (["compensate", "--x0=-0.5", "--target", "1"], set()),
+      "--z0", "0,0,0", "--t", "1"], set(), True),
+    (["hubler", "--a", "{a}"], set(), True),
+    (["ogy", "--steps", "20000"], set(), True),
+    (["pyragas", "--t", "5"], set(), True),
+    (["compensate", "--x0=-0.5", "--target", "1"], set(), True),
     (["compensate", "--x0=-0.5", "--target", "1", "--lo", "0", "--hi", "3"],
-     set()),
-    (["fvs", "--input", "{di}"], set()),
-    (["clamp", "--t", "1"], set()),
-    (["msf", "--input", "{un}"], set()),
-    (["pinning", "--input", "{un}"], set()),
-    (["pinning-sim", "--nodes", "3", "--t", "1"], set()),
+     set(), True),
+    (["fvs", "--input", "{di}"], set(), True),
+    (["clamp", "--t", "1"], set(), True),
+    (["msf", "--input", "{un}"], set(), True),
+    (["pinning", "--input", "{un}"], set(), True),
+    (["pinning-sim", "--nodes", "3", "--t", "1"], set(), True),
     # the periodic k-d tree at r < l/2
     (["vicsek", "--n", "10", "--steps", "5"],
-     CSGRAPH | {"spatial", "special", "constants"}),
-    (["vicsek-leader", "--n", "5", "--steps", "5"], set()),
+     CSGRAPH | {"spatial", "special", "constants"}, True),
+    (["vicsek-leader", "--n", "5", "--steps", "5"], set(), True),
 ]
 
 
@@ -114,20 +115,23 @@ def test_footprint_lists_every_subcommand():
     subcommands = next(
         a.choices for a in cli.build_parser()._actions
         if isinstance(a, argparse._SubParsersAction))
-    assert {argv[0] for argv, _ in FOOTPRINT} == set(subcommands)
+    assert {argv[0] for argv, _, _ in FOOTPRINT} == set(subcommands)
 
 
-@pytest.mark.parametrize("argv, allowed", FOOTPRINT,
+@pytest.mark.parametrize("argv, allowed, numpy", FOOTPRINT,
                          ids=[" ".join(a[:1] + [f for f in a if f in (
-                             "--deletion", "--lo")]) for a, _ in FOOTPRINT])
-def test_scipy_footprint(inputs, argv, allowed):
-    """A fresh run loads no public scipy subpackage beyond its entry."""
+                             "--deletion", "--lo", "er")])
+                              for a, _, _ in FOOTPRINT])
+def test_scipy_footprint(inputs, argv, allowed, numpy):
+    """A fresh run loads no public scipy subpackage beyond its entry, and
+    numpy only where its entry allows."""
     got = run_fresh([a.format(**inputs) for a in argv])
     assert got["code"] == 0
     loaded = {m.split(".")[1] for m in scipy_modules(got["modules"])
               if "." in m}
     assert {p for p in loaded
             if not p.startswith("_") and p != "version"} <= allowed
+    assert numpy or "numpy" not in got["modules"]
 
 
 def test_build_parser_loads_neither_numpy_nor_scipy():

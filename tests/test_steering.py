@@ -31,7 +31,13 @@ from netctl.steering import (
     ogy_stabilize_henon,
     pyragas_feedback,
 )
-from oracles import brute_force_fvs, fvs_rounds_reference, henon_lyapunov
+from oracles import (
+    brute_force_fvs,
+    finite_difference_jacobian,
+    fvs_rounds_reference,
+    henon_lyapunov,
+    is_acyclic,
+)
 
 
 def linear_system(a):
@@ -108,7 +114,7 @@ def variational(sys):
     n = sys.n
 
     def rhs(t, z):
-        dm = sys.jacobian(t, z[:n]) @ z[n:].reshape(n, n)
+        dm = sys.jac(t, z[:n]) @ z[n:].reshape(n, n)
         return np.concatenate([sys.f(t, z[:n]), dm.ravel()])
 
     return rhs
@@ -255,14 +261,16 @@ class TestBvls:
 
 class TestJacobian:
     def test_finite_difference_matches_analytic(self):
-        sys = make_system("rossler")
-        numeric = OdeSystem(n=3, f=sys.f)
         rng = np.random.default_rng(3)
-        for _ in range(10):
-            x = rng.uniform(-5, 5, 3)
-            ja = sys.jacobian(0.0, x)
-            jn = numeric.jacobian(0.0, x)
-            assert np.allclose(ja, jn, rtol=1e-4, atol=1e-6)
+        for name in ("rossler", "bistable-gene", "double-well"):
+            sys = make_system(name)
+            for _ in range(10):
+                # the toggle's states are concentrations
+                x = rng.uniform(0.05 if name == "bistable-gene" else -5, 5,
+                                sys.n)
+                jn = finite_difference_jacobian(sys.f, 0.0, x)
+                assert np.allclose(sys.jac(0.0, x), jn, rtol=1e-4,
+                                   atol=1e-6)
 
 
 class TestHubler:
@@ -527,7 +535,8 @@ class TestFvs:
     def test_heuristic_rejects_cyclic_remainder(self, monkeypatch):
         import netctl.steering as steering
 
-        monkeypatch.setattr(steering, "_topo_order", lambda g, removed: None)
+        monkeypatch.setattr(steering, "_acyclic_order",
+                            lambda n, src, dst, alive: None)
         g = DiGraph.from_pairs(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         with pytest.raises(InvariantViolation):
             fvs_find(g, "heuristic")
@@ -562,9 +571,8 @@ class TestFvs:
                 if s not in removed and d not in removed:
                     assert pos[s] < pos[d]
             # minimality: every proper subset leaves a cycle
-            from netctl.steering import _topo_order
             for v in res.nodes:
-                assert _topo_order(g, removed - {v}) is None
+                assert not is_acyclic(n, pairs, removed - {v})
                 # certificate: returning v closes a cycle through v
                 back = nx.DiGraph((s, d) for s, d in pairs
                                   if {s, d}.isdisjoint(removed - {v}))
@@ -592,6 +600,28 @@ class TestFvs:
                             for _ in range(2 * n)})
             g = DiGraph.from_pairs(n, pairs)
             assert len(fvs_find(g, "exact").nodes) == brute_force_fvs(n, pairs)[0]
+
+    def test_both_modes_against_references(self):
+        """Nodes equal the first minimum set in subset order (exact) or the
+        round-by-round heuristic (heuristic); `order` lists the remainder
+        with every kept arc pointing forward."""
+        rng = random.Random(11)
+        for _ in range(1500):
+            n = rng.randint(1, 11)
+            p = rng.uniform(0.05, 0.5)
+            pairs = [(u, v) for u in range(n) for v in range(n)
+                     if rng.random() < p]
+            g = DiGraph.from_pairs(n, pairs)
+            for mode, want in (
+                    ("exact", sorted(brute_force_fvs(n, pairs)[1])),
+                    ("heuristic", fvs_rounds_reference(n, pairs))):
+                res = fvs_find(g, mode)
+                assert res.nodes == want
+                removed = set(res.nodes)
+                assert sorted(res.order) == sorted(set(range(n)) - removed)
+                pos = {v: i for i, v in enumerate(res.order)}
+                assert all(pos[u] < pos[v] for u, v in pairs
+                           if u not in removed and v not in removed)
 
     def test_exact_size_limit(self):
         g = DiGraph.from_pairs(16, [])
@@ -623,17 +653,22 @@ class TestTwoArgumentSystems:
         assert abs(period - 2 * np.pi) < 1e-3 and dist < 1e-2
 
     def test_flow_matrix_without_jac(self):
-        from netctl.exact import _expm
-        from netctl.steering import _flow_matrix
+        # the flow matrix integrates jac; a start already in the basin, which
+        # needs none, is refused all the same
         a = np.array([[-1.0, 0.5], [0.0, -2.0]])
         sys = OdeSystem(n=2, f=lambda t, x: a @ x)  # no jac
-        assert np.allclose(_flow_matrix(sys, [0.3, -0.2], 1.5),
-                           _expm(1.5 * a), rtol=0, atol=1e-6)
+        with pytest.raises(InvalidArgument, match="Jacobian jac"):
+            compensatory_perturbation(sys, [0.01, 0.0], [0.0, 0.0])
 
     def test_compensatory_perturbation(self):
         sys = OdeSystem(n=1, f=lambda t, x: x - x ** 3)
+        with pytest.raises(InvalidArgument, match="Jacobian jac"):
+            compensatory_perturbation(sys, [-0.5], [1.0],
+                                      bounds=([0.0], [3.0]), budget=40)
+        jac = lambda t, x: np.array([[1.0 - 3.0 * x[0] ** 2]])
         x0p, its = compensatory_perturbation(
-            sys, [-0.5], [1.0], bounds=([0.0], [3.0]), budget=40)
+            OdeSystem(n=1, f=sys.f, jac=jac), [-0.5], [1.0],
+            bounds=([0.0], [3.0]), budget=40)
         assert x0p[0] > 0.0 and its > 0
 
     def test_fvs_clamp(self):
